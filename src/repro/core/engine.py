@@ -27,7 +27,7 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import reference
 from repro.core.pathsummary import PathSummary, concatenate, edge_path, trivial_path
 from repro.core.pruning import LabelPathSet, prune_correlated, prune_pair
 from repro.obs import get_flight_recorder, get_registry, get_slow_query_log, get_tracer
@@ -202,10 +202,6 @@ class QueryEngine:
         self._c_slow = reg.counter("engine.slow_queries")
         self._c_degraded = reg.counter("resilience.query.degraded")
         self._c_scan = reg.counter("kernels.calls.scan")
-        self._c_backend = {
-            "python": reg.counter("kernels.backend.python"),
-            "vector": reg.counter("kernels.backend.vector"),
-        }
         self._t_answer = reg.timer("engine.answer")
         self._t_plan = reg.timer("engine.plan")
         self._t_execute = reg.timer("engine.execute")
@@ -276,7 +272,6 @@ class QueryEngine:
         *,
         sort_hoplinks: bool = False,
         use_cache: bool = False,
-        backend: Any = None,
     ) -> QueryPlan:
         """Build the plan for one query.
 
@@ -284,9 +279,7 @@ class QueryEngine:
         — the batch path's repeated-triple optimisation (single queries
         plan fresh, like the pre-engine code).  ``sort_hoplinks`` yields
         deterministic hoplink order for explanations; those plans always
-        bypass the cache.  ``backend`` pins the kernel backend for the
-        pruning passes; the cache key ignores it because both backends
-        return bit-identical survivor sets.
+        bypass the cache.
         """
         self._validate(alpha)
         z = self.z_of(alpha)
@@ -305,7 +298,7 @@ class QueryEngine:
                 return cached
             if self._registry.enabled:
                 self._c_plan_miss.inc()
-        plan = self._build_plan(s, t, alpha, z, plane, pruning, sort_hoplinks, backend)
+        plan = self._build_plan(s, t, alpha, z, plane, pruning, sort_hoplinks)
         if use_cache:
             self._plan_cache.put(key, plan)
         return plan
@@ -319,10 +312,7 @@ class QueryEngine:
         plane: "IndexPlane",
         pruning: bool,
         sort_hoplinks: bool,
-        backend: Any = None,
     ) -> QueryPlan:
-        if backend is None:
-            backend = active_backend()
         td = self.index.td
         labels = plane.labels
         ancestor = td.lca(s, t)
@@ -353,12 +343,10 @@ class QueryEngine:
             if pruning:
                 if correlated:
                     idx_sh, idx_ht = prune_correlated(
-                        set_sh, set_ht, alpha, prune_counts, backend
+                        set_sh, set_ht, alpha, prune_counts
                     )
                 else:
-                    idx_sh, idx_ht = prune_pair(
-                        set_sh, set_ht, alpha, prune_counts, backend
-                    )
+                    idx_sh, idx_ht = prune_pair(set_sh, set_ht, alpha, prune_counts)
             else:
                 idx_sh = range(len(set_sh))
                 idx_ht = range(len(set_ht))
@@ -372,9 +360,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def scan_hoplink(
-        self, task: HoplinkTask, z: float, backend: Any = None
-    ) -> tuple[float, int, int]:
+    def scan_hoplink(self, task: HoplinkTask, z: float) -> tuple[float, int, int]:
         """Best concatenation over one hoplink's surviving index pairs.
 
         Returns ``(value, i, j)`` (``math.inf, -1, -1`` when no pair
@@ -388,13 +374,11 @@ class QueryEngine:
         set_sh, set_ht = task.set_sh, task.set_ht
         idx_sh, idx_ht = task.idx_sh, task.idx_ht
         if not index.correlated:
-            if backend is None:
-                backend = active_backend()
             if self._registry.enabled:
                 self._c_scan.inc()
-            mus_sh, _, vars_sh, _, _ = set_sh.columns(backend)
-            mus_ht, _, vars_ht, _, _ = set_ht.columns(backend)
-            return backend.scan_pairs(
+            mus_sh, _, vars_sh, _, _ = set_sh.columns()
+            mus_ht, _, vars_ht, _, _ = set_ht.columns()
+            return reference.scan_pairs(
                 mus_sh, vars_sh, mus_ht, vars_ht, idx_sh, idx_ht, z
             )
         else:
@@ -418,16 +402,12 @@ class QueryEngine:
                         best_i, best_j = i, j
         return best_value, best_i, best_j
 
-    def best_in_label(
-        self, label_set: LabelPathSet, z: float, backend: Any = None
-    ) -> tuple[float, int]:
+    def best_in_label(self, label_set: LabelPathSet, z: float) -> tuple[float, int]:
         """Best stored path of one label entry at ``Z_alpha = z``."""
-        if backend is None:
-            backend = active_backend()
         if self._registry.enabled:
             self._c_scan.inc()
-        mus, sigmas, _, _, _ = label_set.columns(backend)
-        value, best_i = backend.best_label(mus, sigmas, z)
+        mus, sigmas, _, _, _ = label_set.columns()
+        value, best_i = reference.best_label(mus, sigmas, z)
         if best_i < 0:
             raise ValueError("empty label entry")
         return value, best_i
@@ -438,19 +418,15 @@ class QueryEngine:
         stats: "QueryStats",
         *,
         deadline_at: "float | None" = None,
-        backend: Any = None,
     ) -> "QueryResult":
         """Run the concatenation scan of one plan, accumulating ``stats``.
 
         ``deadline_at`` (absolute ``perf_counter`` time) is checked between
         hoplink tasks; expiry raises :class:`DeadlineExpired`, which
         :meth:`answer` converts into the degraded mean-only fallback.
-        ``backend`` pins the kernel backend for every scan in this plan.
         """
         from repro.core.query import QueryResult
 
-        if backend is None:
-            backend = active_backend()
         s, t, alpha = plan.s, plan.t, plan.alpha
         if plan.case == "trivial":
             return QueryResult(s, t, alpha, 0.0, 0.0, 0.0, trivial_path(s), stats)
@@ -463,7 +439,7 @@ class QueryEngine:
             # reads one label entry and Algorithm 2's pair pruning has no
             # opposite set to prune against (see QueryStats docstring).
             stats.surviving_paths += len(label_set)
-            value, i = self.best_in_label(label_set, plan.z, backend)
+            value, i = self.best_in_label(label_set, plan.z)
             best = label_set.paths[i]
             return QueryResult(s, t, alpha, value, best.mu, best.var, best, stats)
 
@@ -481,7 +457,7 @@ class QueryEngine:
             stats.candidate_paths += len(task.set_sh) + len(task.set_ht)
             stats.surviving_paths += len(task.idx_sh) + len(task.idx_ht)
             stats.concatenations += len(task.idx_sh) * len(task.idx_ht)
-            value, i, j = self.scan_hoplink(task, plan.z, backend)
+            value, i, j = self.scan_hoplink(task, plan.z)
             if value < best_value:
                 best_value = value
                 best_task, best_i, best_j = task, i, j
@@ -509,7 +485,6 @@ class QueryEngine:
         *,
         use_cache: bool = False,
         deadline_s: "float | None" = None,
-        backend: Any = None,
     ) -> "QueryResult":
         """Algorithm 1: plan (or, on the batch path, reuse) and execute.
 
@@ -525,30 +500,15 @@ class QueryEngine:
         answered from the exact mean-only fallback instead of failing,
         flagged ``degraded=True`` and counted in
         ``resilience.query.degraded`` (docs/resilience.md).
-
-        ``backend`` pins the kernel backend for this query; callers that
-        answer a stream (the serving plane, ``answer_batch``) resolve it
-        once so no query ever straddles a mid-flight ``NRP_KERNELS`` or
-        ``set_backend`` change.
         """
         from repro.core.query import QueryStats
 
         if stats is None:
             stats = QueryStats()
-        # One backend per query: resolved here (unless pinned by the
-        # caller), recorded in the stats, and threaded through planning
-        # and execution.
-        if backend is None:
-            backend = active_backend()
-        stats.backend = backend.NAME
-        if self._registry.enabled:
-            counter = self._c_backend.get(backend.NAME)
-            if counter is not None:
-                counter.inc()
         if deadline_s is not None:
             self._validate_nodes(s, t)
             return self._answer_deadline(
-                s, t, alpha, use_pruning, stats, use_cache, deadline_s, backend
+                s, t, alpha, use_pruning, stats, use_cache, deadline_s
             )
         if not (
             self._registry.enabled
@@ -557,15 +517,11 @@ class QueryEngine:
         ):
             if self._flight.enabled:
                 return self._answer_flight(
-                    s, t, alpha, use_pruning, stats, use_cache, backend
+                    s, t, alpha, use_pruning, stats, use_cache
                 )
-            plan = self.plan(
-                s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-            )
-            return self.execute(plan, stats, backend=backend)
-        return self._answer_observed(
-            s, t, alpha, use_pruning, stats, use_cache, backend
-        )
+            plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
+            return self.execute(plan, stats)
+        return self._answer_observed(s, t, alpha, use_pruning, stats, use_cache)
 
     def _answer_deadline(
         self,
@@ -576,7 +532,6 @@ class QueryEngine:
         stats: "QueryStats",
         use_cache: bool,
         deadline_s: float,
-        backend: Any = None,
     ) -> "QueryResult":
         """Deadline-armed twin of :meth:`answer` (same answers when on time)."""
         flight = self._flight
@@ -589,18 +544,14 @@ class QueryEngine:
         deadline_at = t_start + deadline_s
         try:
             self._validate(alpha)  # validation errors are not deadline misses
-            plan = self.plan(
-                s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-            )
+            plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
             t_planned = perf_counter()
             if t_planned > deadline_at:
                 raise DeadlineExpired(
                     f"query ({s}, {t}, alpha={alpha}) blew its deadline "
                     f"during planning"
                 )
-            result = self.execute(
-                plan, stats, deadline_at=deadline_at, backend=backend
-            )
+            result = self.execute(plan, stats, deadline_at=deadline_at)
         except DeadlineExpired:
             result = self._degraded_answer(s, t, alpha, stats)
         t_done = perf_counter()
@@ -658,7 +609,6 @@ class QueryEngine:
         use_pruning: bool,
         stats: "QueryStats",
         use_cache: bool,
-        backend: Any = None,
     ) -> "QueryResult":
         """The instrumented twin of :meth:`answer` (same observable results)."""
         tracer = self._tracer
@@ -670,12 +620,10 @@ class QueryEngine:
         t_start = perf_counter()
         with tracer.span("engine.answer", s=s, t=t, alpha=alpha) as outer:
             with tracer.span("engine.plan"):
-                plan = self.plan(
-                    s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-                )
+                plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
             t_planned = perf_counter()
             with tracer.span("engine.execute", case=plan.case):
-                result = self.execute(plan, stats, backend=backend)
+                result = self.execute(plan, stats)
             t_done = perf_counter()
             outer.set(case=plan.case, value=result.value)
         elapsed = t_done - t_start
@@ -711,7 +659,6 @@ class QueryEngine:
                 label_lookups=stats.label_lookups - before[2],
                 candidate_paths=stats.candidate_paths - before[3],
                 surviving_paths=stats.surviving_paths - before[4],
-                backend=stats.backend,
             )
             slow.log(elapsed, plan, own, lca_depth)
             if registry.enabled:
@@ -789,7 +736,7 @@ class QueryEngine:
             plane,
             case,
             lca_depth,
-            stats.backend,
+            reference.NAME,
             plan_hit,
             sep_hit,
             int(plan_s * 1e9),
@@ -815,7 +762,6 @@ class QueryEngine:
         use_pruning: bool,
         stats: "QueryStats",
         use_cache: bool,
-        backend: Any = None,
     ) -> "QueryResult":
         """The flight-only twin of :meth:`answer`: taken when the recorder
         is armed but every aggregate sink is off, so a captured workload
@@ -825,11 +771,9 @@ class QueryEngine:
         plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
         before = self._stats_snapshot(stats)
         t_start = perf_counter()
-        plan = self.plan(
-            s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-        )
+        plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
         t_planned = perf_counter()
-        result = self.execute(plan, stats, backend=backend)
+        result = self.execute(plan, stats)
         t_done = perf_counter()
         if flight.enabled:
             flight.record(
@@ -848,7 +792,6 @@ class QueryEngine:
         stats: "QueryStats | None" = None,
         per_query_stats: bool = False,
         deadline_s: "float | None" = None,
-        backend: Any = None,
     ) -> "list[QueryResult]":
         """Answer a workload, sharing plans across repeated triples.
 
@@ -863,28 +806,24 @@ class QueryEngine:
         every query in the batch gets its own ``deadline_s`` seconds and
         degrades individually to the mean-only fallback on expiry, so
         server micro-batching keeps the resilience layer's degradation
-        guard.  ``backend`` pins the kernel backend for every query in
-        the batch (resolved once here when not given), so a batch never
-        straddles a mid-flight ``NRP_KERNELS``/``set_backend`` change.
+        guard.
         """
         from repro.core.query import QueryStats
 
-        if backend is None:
-            backend = active_backend()
         results = []
         for s, t, alpha in queries:
             if per_query_stats:
                 own = QueryStats()
                 result = self.answer(
                     s, t, alpha, use_pruning, own,
-                    use_cache=True, deadline_s=deadline_s, backend=backend,
+                    use_cache=True, deadline_s=deadline_s,
                 )
                 if stats is not None:
                     stats.merge(own)
             else:
                 result = self.answer(
                     s, t, alpha, use_pruning, stats,
-                    use_cache=True, deadline_s=deadline_s, backend=backend,
+                    use_cache=True, deadline_s=deadline_s,
                 )
             results.append(result)
         return results

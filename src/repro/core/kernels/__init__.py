@@ -1,33 +1,25 @@
-"""The kernel layer: interchangeable batch implementations of the hot loops.
+"""The kernel layer: the hot loops of query answering and construction.
 
 The paper's query cost concentrates in a handful of tight numeric loops —
 the Definition 10/11 bound-reference scans, the Algorithm-2 /
 Proposition-5 pruning bounds, the refine sweep ``RF``, and the hoplink
 concatenation scan.  This package isolates those loops as *kernels*:
-pure functions over the contiguous ``mu``/``sigma``/``sigma^2``/``ub``/``lb``
-columns of :mod:`repro.core.labelstore`, with two interchangeable
-backends:
+pure functions over the ``mu``/``sigma``/``sigma^2``/``ub``/``lb``
+columns of :mod:`repro.core.labelstore`, all in
+:mod:`repro.core.kernels.reference` (reported as backend ``python`` in
+wire replies and flight records).
 
-- :mod:`repro.core.kernels.reference` (``python``) — the original loops,
-  extracted verbatim from ``pruning``/``refine``/``engine``/``labelstore``.
-  Always available; the semantic ground truth.
-- :mod:`repro.core.kernels.vector` (``vector``) — the same kernels over
-  numpy arrays wrapped zero-copy around the store columns.  Import-gated:
-  it exists only when numpy is importable, and its decisions are
-  bit-identical to the reference by construction (see the module
-  docstring for the epsilon-band argument).
+Callers reach every kernel as an attribute of that module at call time
+(``reference.scan_pairs(...)``), never through a name bound at import,
+so a profiler that wraps the module's functions sees every call.
 
-Selection is explicit: the ``NRP_KERNELS`` environment variable picks
-``vector``, ``python``, or ``auto`` (the default — vector when numpy is
-importable, reference otherwise), and :func:`set_backend` overrides the
-environment for a process (tests use it to pin one side of an
-equivalence check).  Callers resolve :func:`active_backend` once per
-query/batch and pass the backend down, so a query never straddles two
-backends.
+:func:`active_backend`, :func:`backend_names` and :func:`set_backend`
+remain as a minimal surface for tools that still ask which kernels
+answer: there is exactly one set, and nothing reads ``NRP_KERNELS``.
 
 Layering: kernels are a numeric leaf *below* the storage layer — they
 may import ``repro.stats`` and nothing else of the tree (enforced by
-nrplint NRP001), and every function in the backend modules must be pure
+nrplint NRP001), and every function in the kernel module must be pure
 (NRP006).  Observability counters for kernel calls are therefore
 emitted by the *callers* (pruning/refine/engine/labelstore), never from
 inside a kernel.
@@ -35,107 +27,26 @@ inside a kernel.
 
 from __future__ import annotations
 
-import os
 from types import ModuleType
 
 from repro.core.kernels import reference
 
-__all__ = [
-    "KERNELS_ENV",
-    "active_backend",
-    "backend_names",
-    "get_backend",
-    "set_backend",
-]
-
-#: Environment variable selecting the backend: ``vector`` | ``python`` | ``auto``.
-KERNELS_ENV = "NRP_KERNELS"
-
-_forced: str | None = None
-_probed = False
-_vector_module: ModuleType | None = None
-_cached: tuple[str | None, str | None, ModuleType] | None = None
-
-
-def _vector_backend() -> ModuleType | None:
-    """The vector backend module, or None when numpy is not importable."""
-    global _probed, _vector_module
-    if not _probed:
-        try:
-            from repro.core.kernels import vector
-        except ImportError:
-            _vector_module = None
-        else:
-            _vector_module = vector
-        _probed = True
-    return _vector_module
+__all__ = ["active_backend", "backend_names", "set_backend"]
 
 
 def backend_names() -> tuple[str, ...]:
-    """The backends available in this process, preferred first."""
-    if _vector_backend() is not None:
-        return ("vector", "python")
-    return ("python",)
-
-
-def _resolve(choice: str) -> ModuleType:
-    if choice == "python":
-        return reference
-    if choice == "vector":
-        vec = _vector_backend()
-        if vec is None:
-            raise RuntimeError(
-                "kernel backend 'vector' requested but numpy is not importable; "
-                "unset NRP_KERNELS (or set it to 'python'/'auto') to use the "
-                "pure-Python reference kernels"
-            )
-        return vec
-    if choice == "auto":
-        vec = _vector_backend()
-        return vec if vec is not None else reference
-    raise ValueError(
-        f"unknown kernel backend {choice!r} (expected 'vector', 'python', or 'auto')"
-    )
-
-
-def get_backend(name: str) -> ModuleType:
-    """The backend module for ``name`` without changing the selection.
-
-    Callers that pin a backend per call site (``answer_batch``'s
-    ``backend=``, the equivalence tests' two sides) resolve it here;
-    raises for ``'vector'`` when numpy is unavailable.
-    """
-    return _resolve(name)
+    """The kernel sets available in this process: only the reference."""
+    return (reference.NAME,)
 
 
 def set_backend(name: str | None) -> None:
-    """Force a backend for this process; ``None`` returns to env/auto selection.
-
-    The override outranks ``NRP_KERNELS``.  Switching backends mid-process
-    is safe: both backends produce bit-identical survivors and values, so
-    even plans cached under the other backend stay valid.
-    """
-    global _forced, _cached
-    if name is not None:
-        _resolve(name)  # validate eagerly, including vector availability
-    _forced = name
-    _cached = None
+    """Accept the one kernel set (``"python"``) or ``None``; refuse the rest."""
+    if name is not None and name != reference.NAME:
+        raise ValueError(
+            f"unknown kernel backend {name!r}: only {reference.NAME!r} exists"
+        )
 
 
 def active_backend() -> ModuleType:
-    """The backend module queries should use right now.
-
-    Resolution order: :func:`set_backend` override, then ``NRP_KERNELS``,
-    then auto (vector when numpy is importable).  The result is cached
-    against the ``(override, environment)`` pair, so the per-query cost
-    is one environment lookup.
-    """
-    global _cached
-    env = os.environ.get(KERNELS_ENV)
-    cached = _cached
-    if cached is not None and cached[0] == _forced and cached[1] == env:
-        return cached[2]
-    choice = _forced if _forced is not None else (env or "auto")
-    backend = _resolve(choice)
-    _cached = (_forced, env, backend)
-    return backend
+    """The module holding the kernels: :mod:`repro.core.kernels.reference`."""
+    return reference

@@ -1,19 +1,17 @@
-"""Pure-Python reference kernels (backend name ``python``).
+"""The reference kernels (reported as backend ``python``).
 
 Every function here is the original hot loop from ``labelstore``,
 ``pruning``, ``refine``, or ``engine``, extracted verbatim — same
-iteration order, same arithmetic (including ``** 2``, whose libm
-``pow`` differs from vectorised squaring in the last bit), same
-tie-breaking.  This module is the semantic ground truth: the vector
-backend is required to reproduce these results bit-for-bit, and the
-golden engine suite plus the kernel equivalence fuzz pin that down.
+iteration order, same arithmetic, same tie-breaking.  They are the only
+kernels: label sets hold a handful of paths (median one), so plain
+loops beat any per-call vectorisation overhead, and the golden engine
+suite plus the flight-recorder digests pin their results down.
 
 Kernels are pure (nrplint NRP006 applies to every function in this
 module): they read columns, return fresh lists/tuples/scalars, and
 never mutate arguments or emit metrics.  Columns arrive as any
 ``float``-yielding indexable — tuples from ``LabelPathSet``'s caches,
-``memoryview`` slices from ``LabelStore.column_views``, or plain lists
-in tests.
+``memoryview`` slices of the store's arrays, or plain lists in tests.
 
 Paper mapping (see docs/algorithms.md):
 
@@ -34,47 +32,14 @@ from typing import Mapping, Sequence
 
 from repro.stats.normal import phi_cdf
 
+#: The name wire replies, flight records and workload files report.
 NAME = "python"
-
-Columns = tuple[
-    Sequence[float],
-    Sequence[float],
-    Sequence[float],
-    Sequence[int] | None,
-    Sequence[int] | None,
-]
-
-
-def wrap_columns(
-    mus: Sequence[float],
-    sigmas: Sequence[float],
-    vars_: Sequence[float],
-    ub: Sequence[int] | None,
-    lb: Sequence[int] | None,
-) -> Columns:
-    """Materialise store column views into plain tuples.
-
-    The reference backend has no layout requirements, but tuples make the
-    wrapped columns immutable and detach them from the store's buffers so
-    later appends cannot raise ``BufferError`` through a held view.
-    """
-    return (
-        tuple(mus),
-        tuple(sigmas),
-        tuple(vars_),
-        tuple(ub) if ub is not None else None,
-        tuple(lb) if lb is not None else None,
-    )
 
 
 def bound_value(
     mu_i: float, mu_j: float, sigma_i: float, sigma_j: float, x: float
 ) -> float:
-    """Definition 9: the dominance bound ``B_{p_i}(p_j, x)``.
-
-    This scalar is the arithmetic ground truth both backends must agree
-    with; the vector backend falls back to it inside its epsilon band.
-    """
+    """Definition 9: the dominance bound ``B_{p_i}(p_j, x)``."""
     denom = math.sqrt(sigma_i ** 2 + x * x) - math.sqrt(sigma_j ** 2 + x * x)
     return phi_cdf((mu_j - mu_i) / denom)
 
@@ -270,8 +235,8 @@ def merge_rowsums(
     """Proposition 4: merge per-edge covariance row-sums into one map.
 
     Summation order follows the given sequence of maps and each map's own
-    iteration order — float addition is not associative, so both backends
-    share this exact implementation.
+    iteration order — float addition is not associative, so the order is
+    part of the determinism contract.
     """
     total: dict[int, float] = {}
     for rowsums in maps:

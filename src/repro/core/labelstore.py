@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import reference
 from repro.core.kernels.reference import compute_bound_refs
 from repro.obs import get_registry, get_tracer
 from repro.resilience.failpoints import failpoint
@@ -254,7 +254,6 @@ class LabelStore(ColumnarPathStore):
         self.ub = array("l")
         self.lb = array("l")
         self._views: "weakref.WeakSet[LabelPathSet]" = weakref.WeakSet()
-        self._exporting: "weakref.WeakSet[LabelPathSet]" = weakref.WeakSet()
         self._deferred: (
             list[tuple[Slice, tuple[Sequence[int], Sequence[int]] | None]] | None
         ) = None
@@ -262,16 +261,6 @@ class LabelStore(ColumnarPathStore):
     # ------------------------------------------------------------------
     # Entry API
     # ------------------------------------------------------------------
-    def set_entry(
-        self, key: tuple[int, int] | None, paths: Sequence["PathSummary"]
-    ) -> Slice:
-        # Cached zero-copy kernel columns hold buffer exports on the column
-        # arrays; appending while one is alive raises BufferError, so the
-        # caches are dropped before any growth.
-        if self._exporting:
-            self._drop_kernel_columns()
-        return super().set_entry(key, paths)
-
     def add_entry(
         self,
         key: tuple[int, int] | None,
@@ -296,21 +285,21 @@ class LabelStore(ColumnarPathStore):
                 self.ub.extend(precomputed[0])
                 self.lb.extend(precomputed[1])
             else:
-                self._extend_bound_refs(info, active_backend())
+                self._extend_bound_refs(info)
         view = LabelPathSet.from_store(self, info, paths)
         self._views.add(view)
         return view
 
     replace_entry = add_entry
 
-    def _extend_bound_refs(self, info: Slice, backend: object) -> None:
-        """Append ``info``'s Definition-10/11 columns via ``backend``.
+    def _extend_bound_refs(self, info: Slice) -> None:
+        """Append ``info``'s Definition-10/11 columns via the kernel layer.
 
         The moment views passed to the kernel are transient: they die when
         this frame returns, so they never block later column growth.
         """
         s, e = info.start, info.start + info.count
-        ub, lb = backend.compute_bound_refs(  # type: ignore[attr-defined]
+        ub, lb = reference.compute_bound_refs(
             memoryview(self.mus)[s:e], memoryview(self.sigmas)[s:e]
         )
         self.ub.extend(ub)
@@ -325,7 +314,7 @@ class LabelStore(ColumnarPathStore):
 
         While the context is active, :meth:`add_entry` queues entries
         instead of computing their ``ub``/``lb`` columns inline; on exit
-        the whole batch flushes through one backend resolution.  Views
+        the whole batch flushes in one pass.  Views
         created inside the window must not serve pruning until the context
         exits (their bound columns are not appended yet), and
         :meth:`compact` refuses to run — both match how construction and
@@ -352,7 +341,6 @@ class LabelStore(ColumnarPathStore):
         if not pending:
             return
         started = perf_counter()
-        backend = active_backend()
         for info, precomputed in pending:
             if len(self.ub) != info.start:
                 raise RuntimeError("bound-ref columns out of sync with deferred entries")
@@ -360,7 +348,7 @@ class LabelStore(ColumnarPathStore):
                 self.ub.extend(precomputed[0])
                 self.lb.extend(precomputed[1])
             else:
-                self._extend_bound_refs(info, backend)
+                self._extend_bound_refs(info)
         registry = get_registry()
         if registry.enabled:
             registry.timer("kernels.bound_refs").observe(perf_counter() - started)
@@ -369,41 +357,6 @@ class LabelStore(ColumnarPathStore):
         """The ``(ub, lb)`` column slices of one entry (independent only)."""
         s, c = info.start, info.count
         return self.ub[s : s + c], self.lb[s : s + c]
-
-    # ------------------------------------------------------------------
-    # Kernel column views
-    # ------------------------------------------------------------------
-    def column_views(
-        self, info: Slice
-    ) -> tuple[
-        memoryview, memoryview, memoryview, memoryview | None, memoryview | None
-    ]:
-        """Zero-copy ``(mus, sigmas, vars, ub, lb)`` views of one entry.
-
-        The views alias the live column buffers, so holding one (or any
-        wrapper around it) blocks column growth; caches built from them
-        must register via :meth:`register_kernel_columns` so the store can
-        drop them before every append and compaction.
-        """
-        s, e = info.start, info.start + info.count
-        ub = memoryview(self.ub)[s:e] if self.independent else None
-        lb = memoryview(self.lb)[s:e] if self.independent else None
-        return (
-            memoryview(self.mus)[s:e],
-            memoryview(self.sigmas)[s:e],
-            memoryview(self.vars)[s:e],
-            ub,
-            lb,
-        )
-
-    def register_kernel_columns(self, view: "LabelPathSet") -> None:
-        """Track a view that cached zero-copy kernel columns."""
-        self._exporting.add(view)
-
-    def _drop_kernel_columns(self) -> None:
-        for view in tuple(self._exporting):
-            view.drop_kernel_columns()
-        self._exporting.clear()
 
     # ------------------------------------------------------------------
     # Exact sizing
@@ -438,8 +391,6 @@ class LabelStore(ColumnarPathStore):
         return moved
 
     def _after_compact(self, remap: dict[int, Slice]) -> None:
-        # Zero-copy kernel caches point into the pre-compaction buffers.
-        self._drop_kernel_columns()
         for view in tuple(self._views):
             moved = remap.get(id(view._slice))
             if moved is not None:

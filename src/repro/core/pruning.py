@@ -25,7 +25,7 @@ import math
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import reference
 from repro.core.pathsummary import PathSummary
 from repro.obs import get_registry
 from repro.stats.normal import phi_cdf
@@ -66,8 +66,6 @@ class LabelPathSet:
         "_vars",
         "_ub",
         "_lb",
-        "_cols",
-        "_cols_kind",
         "__weakref__",
     )
 
@@ -83,8 +81,6 @@ class LabelPathSet:
     _vars: tuple[float, ...] | None
     _ub: tuple[int, ...] | None
     _lb: tuple[int, ...] | None
-    _cols: tuple[Any, Any, Any, Any, Any] | None
-    _cols_kind: str
 
     def __init__(self, paths: Sequence[PathSummary], independent: bool = True) -> None:
         from repro.core.labelstore import LabelStore
@@ -99,8 +95,6 @@ class LabelPathSet:
         self._start = view._start
         self._count = view._count
         self._mus = self._sigmas = self._vars = self._ub = self._lb = None
-        self._cols = None
-        self._cols_kind = ""
 
     @classmethod
     def from_store(
@@ -120,8 +114,6 @@ class LabelPathSet:
         else:
             self.sigma_min = self.sigma_max = 0.0
         self._mus = self._sigmas = self._vars = self._ub = self._lb = None
-        self._cols = None
-        self._cols_kind = ""
         return self
 
     # ------------------------------------------------------------------
@@ -193,36 +185,15 @@ class LabelPathSet:
     # ------------------------------------------------------------------
     # Kernel columns
     # ------------------------------------------------------------------
-    def columns(self, backend: Any) -> tuple[Any, Any, Any, Any, Any]:
-        """The entry's ``(mus, sigmas, vars, ub, lb)`` in kernel layout.
+    def columns(self) -> tuple[Any, Any, Any, Any, Any]:
+        """The entry's ``(mus, sigmas, vars, ub, lb)`` columns for the kernels.
 
-        The reference backend reuses the lazy tuple caches.  Other
-        backends get the result of ``backend.wrap_columns`` over the
-        store's zero-copy column views, cached here and registered with
-        the store so it can invalidate the cache before any column append
-        or compaction.  A poisoned view (its entry was replaced) falls
-        back to its materialised tuples when it has them — matching the
-        tuple path — and raises otherwise.
+        One check of the lazy tuple caches; ``ub``/``lb`` are None on
+        stores without bound references (the correlated planes).
         """
-        if backend.NAME == "python" or self._start < 0:
-            if self._mus is None:
-                self._materialize()
-            return (self._mus, self._sigmas, self._vars, self._ub, self._lb)
-        if self._cols is not None and self._cols_kind == backend.NAME:
-            return self._cols
-        store = self._store
-        cols: tuple[Any, Any, Any, Any, Any] = backend.wrap_columns(
-            *store.column_views(self._slice)
-        )
-        self._cols = cols
-        self._cols_kind = backend.NAME
-        store.register_kernel_columns(self)
-        return cols
-
-    def drop_kernel_columns(self) -> None:
-        """Release cached zero-copy columns (store pre-mutation hook)."""
-        self._cols = None
-        self._cols_kind = ""
+        if self._mus is None:
+            self._materialize()
+        return (self._mus, self._sigmas, self._vars, self._ub, self._lb)
 
     def bound(self, i: int, j: int, x: float) -> float:
         """``B_{p_i}(p_j, x)`` — the intersection confidence level.
@@ -248,16 +219,13 @@ def prune_pair(
     set_ht: LabelPathSet,
     alpha: float,
     counts: list[int] | None = None,
-    backend: Any = None,
 ) -> tuple[list[int], list[int]]:
     """Algorithm 2: prune both sides of a hoplink against each other.
 
     Returns the surviving indices of each side.  Pruning one side uses only
     the *precomputed* ``sigma_min``/``sigma_max`` of the other side's full
     stored set, exactly as in the paper (Lines 1-4 of Algorithm 2).  The
-    Proposition 2/3 bound evaluation runs in the kernel layer —
-    ``backend`` pins one (callers answering a query resolve it once);
-    ``None`` resolves :func:`repro.core.kernels.active_backend`.
+    Proposition 2/3 bound evaluation runs in the kernel layer.
 
     ``counts``, when given, is a two-slot accumulator incremented per
     pruned path by proposition: ``counts[0]`` intersection dominance
@@ -265,15 +233,13 @@ def prune_pair(
     the per-proposition attribution behind the observability layer's
     ``engine.prune.prop2/prop3`` counters.
     """
-    if backend is None:
-        backend = active_backend()
     started = perf_counter()
-    mus, sigmas, _, ub, lb = set_sh.columns(backend)
-    keep_sh, n2_sh, n3_sh = backend.prune_independent(
+    mus, sigmas, _, ub, lb = set_sh.columns()
+    keep_sh, n2_sh, n3_sh = reference.prune_independent(
         mus, sigmas, ub, lb, set_ht.sigma_min, set_ht.sigma_max, alpha
     )
-    mus, sigmas, _, ub, lb = set_ht.columns(backend)
-    keep_ht, n2_ht, n3_ht = backend.prune_independent(
+    mus, sigmas, _, ub, lb = set_ht.columns()
+    keep_ht, n2_ht, n3_ht = reference.prune_independent(
         mus, sigmas, ub, lb, set_sh.sigma_min, set_sh.sigma_max, alpha
     )
     if counts is not None:
@@ -291,27 +257,23 @@ def prune_correlated(
     set_ht: LabelPathSet,
     alpha: float,
     counts: list[int] | None = None,
-    backend: Any = None,
 ) -> tuple[list[int], list[int]]:
     """Proposition 5 pruning for correlated sets.
 
     ``p_2`` is dominated w.r.t. the other side's set ``P`` when some ``p_1``
     satisfies ``mu_1 + Z_alpha*(sigma_1 + sigma_max(P)) < mu_2``: even with
     maximal positive correlation, ``p_1``'s concatenations stay below
-    ``p_2``'s mean alone.  The threshold test runs in the kernel layer
-    (``backend`` as in :func:`prune_pair`).
+    ``p_2``'s mean alone.  The threshold test runs in the kernel layer.
 
     ``counts``, when given, is a one-slot accumulator incremented per
     pruned path (the ``engine.prune.prop5`` counter).
     """
-    if backend is None:
-        backend = active_backend()
     started = perf_counter()
     z = z_value(alpha)
-    mus, sigmas, _, _, _ = set_sh.columns(backend)
-    survivors_sh = backend.prune_correlated_keep(mus, sigmas, set_ht.sigma_max, z)
-    mus, sigmas, _, _, _ = set_ht.columns(backend)
-    survivors_ht = backend.prune_correlated_keep(mus, sigmas, set_sh.sigma_max, z)
+    mus, sigmas, _, _, _ = set_sh.columns()
+    survivors_sh = reference.prune_correlated_keep(mus, sigmas, set_ht.sigma_max, z)
+    mus, sigmas, _, _, _ = set_ht.columns()
+    survivors_ht = reference.prune_correlated_keep(mus, sigmas, set_sh.sigma_max, z)
     if counts is not None:
         # nrplint: disable-next-line=purity -- counts is the documented obs accumulator out-param (prune attribution); it never feeds back into pruning decisions
         counts[0] += (len(set_sh) - len(survivors_sh)) + (

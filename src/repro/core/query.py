@@ -65,10 +65,6 @@ class QueryStats:
     label_lookups: int = 0
     candidate_paths: int = 0
     surviving_paths: int = 0
-    #: Kernel backend that answered the query ("python"/"vector"), set by
-    #: ``QueryEngine.answer``.  Informational provenance, not a counter:
-    #: excluded from equality and left untouched by :meth:`merge`.
-    backend: str = field(default="", compare=False)
 
     def merge(self, other: "QueryStats") -> None:
         self.hoplinks += other.hoplinks

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import reference
 from repro.core.pathsummary import PathSummary
 from repro.obs import get_registry
 
@@ -51,18 +51,15 @@ def _refine_sweep(
     paths: Iterable[PathSummary],
     z_max: float | None,
     low: bool,
-    backend: Any,
 ) -> list[PathSummary]:
     """Sort, run the kernel sweep, and map kept indices back to paths."""
-    if backend is None:
-        backend = active_backend()
     started = perf_counter()
     if low:
         # Equal means: the largest variance wins on (0, 0.5).
         ordered = sorted(paths, key=lambda p: (p.mu, -p.var))
     else:
         ordered = sorted(paths, key=lambda p: (p.mu, p.var))
-    kept = backend.refine_keep(
+    kept = reference.refine_keep(
         [p.mu for p in ordered],
         [p.var for p in ordered],
         [p.sigma for p in ordered],
@@ -80,22 +77,19 @@ def _refine_sweep(
 def refine_independent(
     paths: Iterable[PathSummary],
     z_max: float | None = PRACTICAL_Z_MAX,
-    backend: Any = None,
 ) -> list[PathSummary]:
     """``RF(P)`` for independent travel times on ``alpha > 0.5``.
 
     Returns paths sorted by strictly increasing mean, strictly decreasing
     sigma, and (when ``z_max`` is given) strictly decreasing
-    ``mu + z_max * sigma``.  The sweep itself runs in the kernel layer
-    (``backend=None`` resolves the active backend).
+    ``mu + z_max * sigma``.  The sweep itself runs in the kernel layer.
     """
-    return _refine_sweep(paths, z_max, low=False, backend=backend)
+    return _refine_sweep(paths, z_max, low=False)
 
 
 def refine_independent_low(
     paths: Iterable[PathSummary],
     z_max: float | None = PRACTICAL_Z_MAX,
-    backend: Any = None,
 ) -> list[PathSummary]:
     """``RF(P)`` for the symmetric ``alpha < 0.5`` case (``P^{<0.5}``).
 
@@ -107,7 +101,7 @@ def refine_independent_low(
     ``mu - z_max * sigma`` strictly decreasing (covering ``alpha >=
     1 - Phi(z_max)``, i.e. 0.001 for the default 3.1).
     """
-    return _refine_sweep(paths, z_max, low=True, backend=backend)
+    return _refine_sweep(paths, z_max, low=True)
 
 
 class NeighborhoodCache:
@@ -162,11 +156,10 @@ class NeighborhoodCache:
     def path_covariances(self, v: int, window: tuple[EdgeKey, ...]) -> dict[int, float]:
         """``{window index i: cov(path, q_i)}`` for a path window at ``v``.
 
-        Merging runs through the kernel layer's ``merge_rowsums`` (both
-        backends share one implementation: float accumulation order is
-        part of the determinism contract).
+        Merging runs through the kernel layer's ``merge_rowsums`` (float
+        accumulation order is part of the determinism contract).
         """
-        return active_backend().merge_rowsums(
+        return reference.merge_rowsums(
             [self.rowsums(v, e) for e in set(window)]
         )
 

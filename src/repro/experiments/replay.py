@@ -4,8 +4,7 @@ A captured workload is a flight-recorder drain persisted to disk (schema
 ``repro.workload/1``): every record keeps its ``(s, t, alpha)`` triple,
 the per-phase timings and Algorithm 1/2 counters observed at capture
 time, and the bit-exact result digest.  :func:`replay_workload` re-executes
-the triples against a (possibly rebuilt, possibly differently-backed)
-index, verifies every digest bit-identically, and emits a comparison
+the triples against a (possibly rebuilt) index, verifies every digest bit-identically, and emits a comparison
 report: latency percentiles (p50/p95/p99), per-phase attribution deltas,
 and counter deltas grouped by kernel backend.
 
@@ -13,7 +12,7 @@ This is the regression loop the CLI exposes as ``repro workload capture``
 and ``repro replay``:
 
 1. ``repro workload capture --index idx.json --count 1000 -o wl.json``
-2. change the code / rebuild the index / switch ``NRP_KERNELS``
+2. change the code / rebuild the index
 3. ``repro replay --index idx.json --workload wl.json`` — exit 1 if any
    answer changed, plus a latency/counter diff either way.
 """

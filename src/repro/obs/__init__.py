@@ -174,8 +174,6 @@ def _preregister() -> None:
         ("resilience.query.degraded", "deadline misses answered by the mean-only fallback"),
         ("resilience.io.retries", "atomic writes retried after transient OSError"),
         ("resilience.wal.replayed", "maintenance batches replayed from the WAL on reopen"),
-        ("kernels.backend.python", "queries answered with the reference kernel backend"),
-        ("kernels.backend.vector", "queries answered with the vectorised kernel backend"),
         ("kernels.calls.prune", "kernel prune passes (Algorithm 2 / Proposition 5 sides)"),
         ("kernels.calls.refine", "kernel refine sweeps (RF)"),
         ("kernels.calls.bound_refs", "kernel Definition-10/11 bound-reference batches"),

@@ -61,7 +61,7 @@ FLIGHT_FIELDS = (
     "plane",            # "high" | "low" | "-"
     "case",             # "trivial" | "ancestor" | "separator" | "degraded"
     "lca_depth",        # -1 when no LCA applies
-    "backend",          # kernel backend that answered ("python"/"vector")
+    "backend",          # kernels that answered: "python" ("vector" in old files)
     "plan_cache_hit",
     "separator_cache_hit",
     "plan_ns",
@@ -81,7 +81,9 @@ FLIGHT_FIELDS = (
 
 _F = {name: i for i, name in enumerate(FLIGHT_FIELDS)}
 
-#: Enumerations for the compact binary rendering of the string fields.
+#: Enumerations for the compact binary rendering of the string fields
+#: (``"vector"`` stays decodable: files written before the numpy backend
+#: was removed carry it).
 _PLANES = ("-", "high", "low")
 _CASES = ("trivial", "ancestor", "separator", "degraded")
 _BACKENDS = ("", "python", "vector")

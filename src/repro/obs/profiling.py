@@ -158,8 +158,7 @@ class SlowQueryLog:
         self._logger.warning(
             "slow query s=%d t=%d alpha=%g case=%s plane=%s elapsed_ms=%.3f "
             "lca_depth=%d hoplinks=%d candidates=%d survivors=%d "
-            "pruned_prop2=%d pruned_prop3=%d pruned_prop5=%d concatenations=%d "
-            "backend=%s",
+            "pruned_prop2=%d pruned_prop3=%d pruned_prop5=%d concatenations=%d",
             plan.s,
             plan.t,
             plan.alpha,
@@ -174,7 +173,6 @@ class SlowQueryLog:
             plan.pruned_prop3,
             plan.pruned_prop5,
             stats.concatenations,
-            getattr(stats, "backend", "") or "-",
         )
         self.logged += 1
         return True

@@ -138,7 +138,8 @@ class ServeClient:
 
         Each attempt gets the *remaining connect budget* as its own
         timeout — the read timeout only applies once the socket is up,
-        so a 30s read budget can never stretch a connect attempt.
+        so a 30s read budget can never stretch a connect attempt.  The
+        connection has ``TCP_NODELAY`` set, like the daemon's side.
         """
         deadline = time.monotonic() + self.connect_timeout
         last_error: "Exception | None" = None
@@ -157,6 +158,8 @@ class ServeClient:
                         transient=True,
                     ) from last_error
                 time.sleep(0.05)
+        # Requests are written whole; Nagle would only delay each one.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.timeout)
         self._sock = sock
         self._rfile = sock.makefile("rb")

@@ -31,7 +31,7 @@ Responses always carry ``ok``.  A successful query reply::
 
     {"id": 7, "ok": true, "value": 12.25, "mu": 11.0, "variance": 1.56,
      "path_len": 4, "degraded": false, "digest": 193948122,
-     "backend": "vector", "wait_us": 112, "batch": 8}
+     "backend": "python", "wait_us": 112, "batch": 8}
 
 ``digest`` is the engine's bit-exact result digest (the replay token),
 ``wait_us`` the microseconds the request sat in the admission queue, and

@@ -45,7 +45,9 @@ and a ``ThreadingTCPServer`` speaking the NDJSON protocol of
   damage while in-flight requests keep answering from the old index.
 
 Everything is stdlib; per-query results are bit-identical to the CLI
-path (same engine, same kernels — pinned to one backend at startup).
+path (same engine, same kernels).  Every accepted socket has Nagle's
+algorithm off (``TCP_NODELAY``): each reply is one ``sendall``, so
+nothing waits for the client's next acknowledgement before it leaves.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import threading
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import reference
 from repro.obs import get_registry
 from repro.resilience import InjectedFaultError, QueryValidationError
 from repro.resilience.failpoints import failpoint
@@ -181,6 +183,10 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: sniff HTTP vs NDJSON, then serve until EOF."""
 
+    # TCP_NODELAY on the accepted socket: replies are written whole, so
+    # Nagle would only hold each one back until the peer's next ACK.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         qs = self.server.query_server  # type: ignore[attr-defined]
         line = self.rfile.readline(MAX_LINE_BYTES + 1)
@@ -248,8 +254,7 @@ class QueryServer:
     ``port=0`` binds an ephemeral port (read it back from ``.port`` after
     :meth:`start`).  ``default_deadline_ms`` applies to query requests
     that carry no ``deadline_ms`` of their own; ``None`` means no
-    deadline.  The kernel backend is resolved **once**, at construction,
-    so no query ever straddles a mid-flight backend change.
+    deadline.
     """
 
     def __init__(
@@ -289,7 +294,6 @@ class QueryServer:
         self.monitor = monitor if monitor is not None else HealthMonitor()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.stats = ServerStats()
-        self._backend = active_backend()
         self._queue: "queue.Queue[_Pending]" = queue.Queue(maxsize=queue_capacity)
         self._stop = threading.Event()
         self._stop_lock = threading.Lock()
@@ -455,7 +459,7 @@ class QueryServer:
                 "id": request.id,
                 "ok": True,
                 "schema": PROTOCOL_SCHEMA,
-                "backend": self._backend.NAME,
+                "backend": reference.NAME,
                 "n": self.index.graph.num_vertices,
             }
         if op == "stats":
@@ -468,7 +472,7 @@ class QueryServer:
                     "queue_capacity": self.queue_capacity,
                     "workers": self.workers,
                     "batch_max": self.batch_max,
-                    "backend": self._backend.NAME,
+                    "backend": reference.NAME,
                     "health": self.monitor.state,
                     "circuit": self.breaker.state,
                 }
@@ -678,7 +682,6 @@ class QueryServer:
                 self._finish_error(pending, "circuit_open", "engine circuit open")
             return
         engine = self.index.engine
-        backend = self._backend
         use_batch = self.batch_max > 1
         results: "list[Any] | None" = None
         if use_batch:
@@ -692,7 +695,6 @@ class QueryServer:
                     use_pruning=pruning,
                     per_query_stats=True,
                     deadline_s=deadline_s,
-                    backend=backend,
                 )
             except Exception:
                 # One bad query fails answer_batch on first raise; redo
@@ -714,7 +716,6 @@ class QueryServer:
                     pruning,
                     use_cache=use_batch,
                     deadline_s=deadline_s,
-                    backend=backend,
                 )
             except QueryValidationError as exc:
                 self._finish_error(pending, "invalid", str(exc))
@@ -747,7 +748,7 @@ class QueryServer:
             query_response(
                 pending.request.id,
                 result,
-                backend=self._backend.NAME,
+                backend=reference.NAME,
                 wait_us=max(0, (picked_ns - pending.enqueued_ns) // 1000),
                 batch=batch_size,
             )

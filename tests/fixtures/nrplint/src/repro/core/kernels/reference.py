@@ -1,10 +1,10 @@
-"""Fixture: in a kernel backend module *every* function must be pure,
+"""Fixture: in the kernel module *every* function must be pure,
 even ones whose names match no ``dominates*``/``prune*`` pattern."""
 
 _CACHE: dict[str, object] = {}
 
 
-def wrap_columns(out):
+def best_label(out):
     out.append(1.0)  # mutates its argument
     return out
 

@@ -45,11 +45,8 @@ class Batcher:
     def persist(self, sidecar_path, text: str) -> None:
         atomic_write_text(sidecar_path, text)  # the sanctioned durable writer
 
-    def answer_batch(self, queries, deadline_s=None, backend=None):
-        return [
-            self.answer_one(s, t, deadline_s=deadline_s, backend=backend)
-            for s, t in queries
-        ]
+    def answer_batch(self, queries, deadline_s=None):
+        return [self.answer_one(s, t, deadline_s=deadline_s) for s, t in queries]
 
-    def answer_one(self, s, t, deadline_s=None, backend=None):
-        return (s, t, deadline_s, backend)
+    def answer_one(self, s, t, deadline_s=None):
+        return (s, t, deadline_s)

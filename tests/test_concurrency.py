@@ -12,7 +12,7 @@ bugfixes in this PR protect:
   dict mutation + clear-everything eviction).
 
 The headline test: N threads hammering one engine — metrics on, tracing
-off, flight armed, under every available kernel backend — must produce
+off, flight armed — must produce
 per-query digests bit-identical to a sequential run of the same
 workload.  Plus targeted lost-update tests for each primitive.
 """
@@ -25,7 +25,6 @@ import threading
 import pytest
 
 from repro import build_index
-from repro.core import kernels
 from repro.core.engine import BoundedCache
 from repro.obs import get_flight_recorder, get_registry
 from repro.obs.metrics import Counter, Histogram, Timer
@@ -64,17 +63,15 @@ def _workload(graph, seed: int, count: int):
     return [distinct[rng.randrange(len(distinct))] for _ in range(count)]
 
 
-@pytest.mark.parametrize("backend_name", kernels.backend_names())
-def test_threaded_digests_match_sequential(conc_index, observed, backend_name):
-    backend = kernels.get_backend(backend_name)
+def test_threaded_digests_match_sequential(conc_index, observed):
     engine = conc_index.engine
     workloads = [
         _workload(conc_index.graph, 100 + i, PER_THREAD) for i in range(THREADS)
     ]
-    # Sequential ground truth (same backend, fresh caches).
+    # Sequential ground truth (fresh caches).
     engine.invalidate_plans()
     expected = [
-        [engine.answer(s, t, a, backend=backend).digest() for s, t, a in wl]
+        [engine.answer(s, t, a).digest() for s, t, a in wl]
         for wl in workloads
     ]
     engine.invalidate_plans()
@@ -85,11 +82,7 @@ def test_threaded_digests_match_sequential(conc_index, observed, backend_name):
         try:
             digests = []
             for s, t, alpha in workloads[slot]:
-                digests.append(
-                    engine.answer(
-                        s, t, alpha, use_cache=True, backend=backend
-                    ).digest()
-                )
+                digests.append(engine.answer(s, t, alpha, use_cache=True).digest())
             actual[slot] = digests
         except Exception as exc:  # pragma: no cover - only on regression
             errors.append(repr(exc))
@@ -242,8 +235,7 @@ def test_bounded_cache_single_entry_eviction_order():
     assert len(cache) == 4
 
 
-@pytest.mark.parametrize("backend_name", kernels.backend_names())
-def test_bounded_cache_churn_no_lost_entries(conc_index, backend_name):
+def test_bounded_cache_churn_no_lost_entries(conc_index):
     """8 threads of disjoint puts + engine answers: every put survives.
 
     The keyspace fits the limit, so after the storm every thread's final
@@ -251,16 +243,13 @@ def test_bounded_cache_churn_no_lost_entries(conc_index, backend_name):
     loses some), the engine answers must bit-match a sequential run, and
     the whole thing must finish — ``join(timeout=...)`` guards deadlock.
     """
-    backend = kernels.get_backend(backend_name)
     engine = conc_index.engine
     per_thread = 50
     workers = 8
     cache = BoundedCache(limit=workers * per_thread)
     triples = _workload(conc_index.graph, 4242, per_thread)
     engine.invalidate_plans()
-    expected = [
-        engine.answer(s, t, a, backend=backend).digest() for s, t, a in triples
-    ]
+    expected = [engine.answer(s, t, a).digest() for s, t, a in triples]
     engine.invalidate_plans()
     errors: list = []
 
@@ -269,11 +258,7 @@ def test_bounded_cache_churn_no_lost_entries(conc_index, backend_name):
             digests = []
             for i, (s, t, alpha) in enumerate(triples):
                 cache.put((slot, i), slot * 1000 + i)
-                digests.append(
-                    engine.answer(
-                        s, t, alpha, use_cache=True, backend=backend
-                    ).digest()
-                )
+                digests.append(engine.answer(s, t, alpha, use_cache=True).digest())
                 assert cache.get((slot, i)) == slot * 1000 + i
             if digests != expected:
                 errors.append(f"thread {slot}: digests diverged")

@@ -2,10 +2,9 @@
 
 Two of this PR's bugfixes live here:
 
-- ``QueryEngine.answer_batch`` used to *accept* no ``deadline_s`` /
-  ``backend`` and the serving plane had no way to batch with deadlines —
-  the keywords must reach every per-query ``answer`` call (deadline as a
-  per-query budget, backend pinned batch-wide).
+- ``QueryEngine.answer_batch`` used to *accept* no ``deadline_s`` and
+  the serving plane had no way to batch with deadlines — the keyword
+  must reach every per-query ``answer`` call as a per-query budget.
 - The engine's memoisation caches used to wipe *everything* on hitting
   ``_CACHE_LIMIT`` (``clear()``), so a hot triple paid a fresh plan
   right after every wipe.  :class:`BoundedCache` must instead evict one
@@ -19,7 +18,6 @@ import random
 import pytest
 
 from repro import build_index
-from repro.core import kernels
 from repro.core.engine import BoundedCache
 from conftest import make_random_instance, random_query
 
@@ -63,31 +61,6 @@ def test_answer_batch_without_deadline_not_degraded(small_index):
     queries = [random_query(small_index.graph, rng) for _ in range(6)]
     results = small_index.engine.answer_batch(queries)
     assert not any(r.degraded for r in results)
-
-
-def test_answer_batch_pins_backend(small_index):
-    """An explicit backend must reach every query's stats, regardless of
-    the ambient NRP_KERNELS selection."""
-    rng = random.Random(14)
-    queries = [random_query(small_index.graph, rng) for _ in range(5)]
-    reference = kernels.get_backend("python")
-    results = small_index.engine.answer_batch(
-        queries, per_query_stats=True, backend=reference
-    )
-    assert all(r.stats.backend == "python" for r in results)
-
-
-@pytest.mark.skipif(
-    "vector" not in kernels.backend_names(), reason="numpy unavailable"
-)
-def test_answer_batch_backend_results_identical(small_index):
-    """Pinned backends agree bit-for-bit (the kernel-layer contract)."""
-    rng = random.Random(15)
-    queries = [random_query(small_index.graph, rng) for _ in range(10)]
-    engine = small_index.engine
-    ref = engine.answer_batch(queries, backend=kernels.get_backend("python"))
-    vec = engine.answer_batch(queries, backend=kernels.get_backend("vector"))
-    assert [r.digest() for r in ref] == [r.digest() for r in vec]
 
 
 def test_index_query_batch_passes_deadline(small_index):

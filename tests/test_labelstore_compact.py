@@ -1,17 +1,14 @@
 """LabelPathSet column caching across ``LabelStore.compact()``.
 
-The kernel layer hands out zero-copy column views (and, under the vector
-backend, numpy wrappers cached on the view), so compaction and appends
-must actively invalidate or re-resolve them:
+Views materialise their columns lazily from the store's arrays, so
+compaction must re-resolve them:
 
 - a live view is re-bound to its moved slice and keeps serving the same
-  values through both the tuple and the kernel-column paths;
+  values through both the tuple properties and ``columns()``;
 - a dead view (its entry was replaced) is *poisoned*, never silently
   re-bound to whatever slice now occupies its old offsets — including the
   collision case where a later compaction moves a different live entry
   onto exactly the dead view's ``(start, count)``;
-- appending to the store drops cached zero-copy columns first, so the
-  ``array`` buffers are never locked by a stale export (``BufferError``);
 - ``compact()`` inside a ``deferred_bound_refs`` window is refused — the
   side columns are not aligned yet.
 """
@@ -20,12 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import kernels
 from repro.core.labelstore import LabelStore
 from repro.core.pathsummary import PathSummary
-
-HAVE_VECTOR = "vector" in kernels.backend_names()
-needs_vector = pytest.mark.skipif(not HAVE_VECTOR, reason="numpy unavailable")
 
 
 def _paths(k: int, base_mu: float) -> list[PathSummary]:
@@ -33,10 +26,6 @@ def _paths(k: int, base_mu: float) -> list[PathSummary]:
     return [
         PathSummary(base_mu + i, float((k - i + 1) ** 2), 0, 1) for i in range(k)
     ]
-
-
-def _backend(name: str):
-    return kernels._resolve(name)
 
 
 class TestLiveViews:
@@ -52,24 +41,16 @@ class TestLiveViews:
         ub, lb = store.bound_refs(view._slice)
         assert len(ub) == len(lb) == 3
 
-    @needs_vector
     def test_live_view_kernel_columns_survive_compact(self):
-        backend = _backend("vector")
         store = LabelStore(independent=True)
         store.add_entry((1, 0), _paths(2, 10.0))
         view = store.add_entry((2, 0), _paths(3, 20.0))
-        cols = view.columns(backend)
-        assert cols[0].tolist() == [20.0, 21.0, 22.0]
-        # Callers must not retain kernel columns across store mutations:
-        # only the view's own cache is under the store's control.
-        del cols
         store.add_entry((1, 0), _paths(2, 30.0))
         store.compact()
-        # The pre-compaction cache was dropped, not served from the old
-        # (moved-out-of) buffers.
-        assert view._cols is None
-        after = view.columns(backend)
-        assert after[0].tolist() == [20.0, 21.0, 22.0]
+        # First read after the move: materialised from the moved slice.
+        mus, _, _, ub, lb = view.columns()
+        assert mus == (20.0, 21.0, 22.0)
+        assert (ub, lb) == tuple(tuple(c) for c in store.bound_refs(view._slice))
 
 
 class TestDeadViews:
@@ -90,13 +71,9 @@ class TestDeadViews:
         store.compact()
         assert view._start == -1
         assert view.mus == (10.0, 11.0)
-        # The kernel-column path must serve the same cached tuples (under
-        # any backend) instead of reading another entry's slots.
-        cols = view.columns(_backend("python"))
-        assert cols[0] == (10.0, 11.0)
-        if HAVE_VECTOR:
-            cols = view.columns(_backend("vector"))
-            assert cols[0] == (10.0, 11.0)
+        # The kernel-column path must serve the same cached tuples instead
+        # of reading another entry's slots.
+        assert view.columns()[0] == (10.0, 11.0)
 
     def test_slice_collision_does_not_resurrect_dead_view(self):
         """A dead view whose (start, count) later coincides with a live
@@ -113,22 +90,6 @@ class TestDeadViews:
         assert va._start == -1
         with pytest.raises(RuntimeError, match="stale LabelPathSet"):
             va.mus
-
-
-class TestBufferExports:
-    @needs_vector
-    def test_append_after_cached_vector_columns(self):
-        """Zero-copy caches lock the array buffers; the store must drop
-        them before growing, or every append raises BufferError."""
-        backend = _backend("vector")
-        store = LabelStore(independent=True)
-        view = store.add_entry((1, 0), _paths(2, 10.0))
-        view.columns(backend)
-        assert view._cols is not None
-        fresh = store.add_entry((2, 0), _paths(3, 20.0))  # must not raise
-        assert view._cols is None  # cache invalidated pre-append
-        assert view.columns(backend)[0].tolist() == [10.0, 11.0]
-        assert fresh.columns(backend)[0].tolist() == [20.0, 21.0, 22.0]
 
 
 class TestDeferredBoundRefs:

@@ -45,7 +45,7 @@ EXPECTED_BAD = {
     "bad_obs_guard.py": "obs-guard",
     "bad_private.py": "private-access",
     "bad_purity.py": "purity",
-    "reference.py": "purity",  # kernel backend module: every function is a kernel
+    "reference.py": "purity",  # the kernel module: every function is a kernel
     "bad_kernels_layering.py": "layering",
     "bad_serve_import.py": "layering",
     "bad_except.py": "silent-except",
@@ -380,17 +380,16 @@ class TestCliGate:
             "\n"
             "\n"
             "class Engine:\n"
-            "    def answer(self, s, t, deadline_s=None, backend=None):\n"
-            "        return (s, t, deadline_s, backend)\n"
+            "    def answer(self, s, t, deadline_s=None):\n"
+            "        return (s, t, deadline_s)\n"
             "\n"
-            "    def answer_batch(self, qs, deadline_s=None, backend=None):\n"
+            "    def answer_batch(self, qs, deadline_s=None):\n"
             "        return [self.answer(s, t) for s, t in qs]\n"
         )
         proc = _run_cli(str(tmp_path), "--no-baseline")
         assert proc.returncode == 1
         assert "NRP011" in proc.stdout
         assert "drops deadline_s" in proc.stdout
-        assert "drops backend" in proc.stdout
 
     def test_cli_json_output_is_schema_valid(self):
         proc = _run_cli(str(FIXTURES), "--format", "json", "--no-baseline")

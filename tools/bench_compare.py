@@ -8,8 +8,8 @@ baseline and flags regressions:
   snapshots written by ``benchmarks/conftest.py``): per-timer mean
   latencies and, when present (metrics schema >= 2), per-histogram
   p50/p95/p99.
-- cumulative ``BENCH_*.json`` trajectory files (e.g. the kernel
-  micro-benchmark's ``BENCH_kernels.json``): the latest run's
+- cumulative ``BENCH_*.json`` trajectory files carrying
+  ``timings_us``: the latest run's
   ``timings_us`` against the best earlier run in the same file.
 
 Noise handling — both knobs must trip before anything is a regression:

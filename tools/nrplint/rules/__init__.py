@@ -12,7 +12,7 @@
 | NRP008 | lock-discipline  | guarded attrs only read-modify-written under their lock |
 | NRP009 | blocking-lock    | no blocking I/O or unbounded waits while a lock is held |
 | NRP010 | atomic-write     | durable artefacts go through repro.resilience.atomic |
-| NRP011 | param-threading  | deadline_s/backend forwarded through internal fan-out |
+| NRP011 | param-threading  | deadline_s forwarded through internal fan-out        |
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@
   and couple the observability plane to the index internals.
 - ``repro.stats`` is a pure numeric leaf (Props. 1-5 arithmetic only);
   ``repro.treedec`` may see ``repro.network`` but nothing higher.
-- ``repro.core.kernels`` sits just above that leaf: the backends may
-  import only ``repro.stats`` (numpy is gated in the package
-  ``__init__``), so storage and engine can call down into them without
-  ever creating a cycle.
+- ``repro.core.kernels`` sits just above that leaf: the kernels may
+  import only ``repro.stats``, so storage and engine can call down into
+  them without ever creating a cycle.
 - ``repro.resilience`` is the crash-safety substrate ``repro.core``
   builds on (atomic writes, WAL, failpoints); it may see only
   ``repro.network`` and ``repro.obs``, so depending on it can never

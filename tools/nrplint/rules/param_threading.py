@@ -1,15 +1,14 @@
-"""NRP011 — ``deadline_s``/``backend`` are threaded through every fan-out.
+"""NRP011 — ``deadline_s`` is threaded through every fan-out.
 
 PR 8's subtlest bug: ``QueryEngine.answer_batch`` forwarded ``deadline_s``
-and ``backend`` on its fast path but silently dropped both on the
-fallthrough — every degraded batch ran with no deadline on the default
-backend, and nothing failed loudly because both parameters default to
-``None``.  The serving plane multiplies the fan-out (entry → batch →
+on its fast path but silently dropped it on the fallthrough — every
+degraded batch ran with no deadline, and nothing failed loudly because
+the parameter defaults to ``None``.  The serving plane multiplies the fan-out (entry → batch →
 group → answer → plan/execute), so the discipline is now mechanical:
 
-    inside ``repro.core``/``repro.serve``, a function that *accepts* one
-    of the threaded parameters must *pass* it on every same-module call
-    to a function that also accepts it.
+    inside ``repro.core``/``repro.serve``, a function that *accepts* a
+    threaded parameter must *pass* it on every same-module call to a
+    function that also accepts it.
 
 Resolution is deliberately local — bare-name calls to module functions
 and ``self.method`` calls within the class — because that is exactly the
@@ -32,7 +31,7 @@ from nrplint.flow import ModuleFlow, get_flow, iter_functions, walk_local
 _SCOPES = ("repro.core", "repro.serve")
 
 #: The parameters whose loss was PR 8's fallthrough bug.
-_THREADED = ("deadline_s", "backend")
+_THREADED = ("deadline_s",)
 
 _FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -83,7 +82,7 @@ def _positional_index(
 class ParamThreadingRule(Rule):
     name = "param-threading"
     code = "NRP011"
-    summary = "deadline_s/backend are forwarded through every internal fan-out"
+    summary = "deadline_s is forwarded through every internal fan-out"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not _in_scope(ctx):

@@ -8,10 +8,10 @@ state would make cached plans diverge from fresh ones — the exact bug
 class the golden suite can only catch after the fact.
 
 Within ``repro.core``, any function whose name matches ``dominates*`` or
-``prune*`` (leading underscore allowed) — and, in the kernel backend
-modules ``repro.core.kernels.reference`` / ``repro.core.kernels.vector``,
-*every* function, since the whole point of that layer is interchangeable
-pure columns-in/indices-out procedures — must not:
+``prune*`` (leading underscore allowed) — and, in the kernel module
+``repro.core.kernels.reference``, *every* function, since the whole
+point of that layer is pure columns-in/indices-out procedures — must
+not:
 
 - declare ``global``/``nonlocal``,
 - assign/del through a parameter (``param[i] = ...``, ``param.x = ...``,
@@ -34,12 +34,10 @@ from nrplint.core import FileContext, Finding, Rule, base_name, register
 _SCOPE = "repro.core"
 _KERNEL_RE = re.compile(r"^_?(dominates|prune)")
 
-#: Backend modules where *every* function is a kernel, not just name
-#: matches.  ``repro.core.kernels`` itself (the ``__init__``) is exempt:
-#: backend selection legitimately caches module state.
-_KERNEL_MODULES = frozenset(
-    {"repro.core.kernels.reference", "repro.core.kernels.vector"}
-)
+#: Modules where *every* function is a kernel, not just name matches.
+#: ``repro.core.kernels`` itself (the ``__init__``) is the selection
+#: surface, not a kernel.
+_KERNEL_MODULES = frozenset({"repro.core.kernels.reference"})
 
 _MUTATORS = frozenset(
     {
