@@ -3,16 +3,16 @@
 The flight recorder's contract (docs/observability.md) is two-sided:
 
 - **disarmed** — one attribute check per query, ~0% overhead; and
-- **armed**    — <3% mean per-query latency, achieved by a lean engine
-  path (`QueryEngine._answer_flight`) that records the full 22-field
-  flight tuple without touching the span/metrics machinery.
+- **armed**    — <3% mean per-query latency: ``QueryEngine.answer``
+  builds the 22-field flight record once and, with the other sinks off,
+  hands it to the ring alone.
 
 This benchmark measures mean per-query latency under three
 configurations on the same workload:
 
 - ``disabled``       — nothing armed (the default)
-- ``flight``         — flight recorder alone (the lean path)
-- ``flight+metrics`` — flight riding on the fully observed path
+- ``flight``         — flight recorder alone
+- ``flight+metrics`` — the same record also feeding the metrics registry
 
 The armed budget is enforced here (best-of-N minima are stable enough
 for a 3% bound; the disarmed ~0% claim is covered by the tighter <2%
@@ -126,7 +126,7 @@ def test_flight_overhead():
     )
     save_report("flight_overhead", report)
 
-    # The armed budget is the headline contract of the lean path.
+    # The armed budget is the flight recorder's headline contract.
     assert timings["flight"] <= base * (1.0 + _ARMED_BUDGET) + _JITTER_S, (
         f"armed flight recorder overhead "
         f"{(timings['flight'] / base - 1.0) * 100:+.1f}% exceeds "

@@ -62,7 +62,6 @@ from repro.resilience.errors import (
     IndexTruncatedError,
     QueryValidationError,
 )
-from repro.resilience.wal import WriteAheadLog
 
 __all__ = ["main", "build_parser"]
 
@@ -70,10 +69,6 @@ __all__ = ["main", "build_parser"]
 EXIT_CORRUPT = 3
 EXIT_TRUNCATED = 4
 EXIT_FORMAT = 5
-
-
-def _wal_for(index_path: Path) -> WriteAheadLog:
-    return WriteAheadLog(index_path.with_name(index_path.name + ".wal"))
 
 
 def _open_with_recovery(index_path: Path):
@@ -441,9 +436,11 @@ def cmd_obs_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
+    from repro.serve.lifecycle import wal_for
+
     index = _open_with_recovery(args.index)
     variance = args.sigma * args.sigma
-    wal = _wal_for(args.index)
+    wal = wal_for(args.index)
     # WAL protocol: journal, apply in memory, durably save, then commit —
     # a crash anywhere in between either replays or rolls back on reopen.
     report = IndexMaintainer(index, wal=wal).update_edge(

@@ -1,7 +1,10 @@
 """The query engine — Algorithm 1 split into planning and execution.
 
-``answer_query`` used to be one monolithic function; the engine separates
-the two concerns so they can be cached and optimised independently:
+:meth:`QueryEngine.answer` is the one answer path: validate and plan,
+check the deadline, execute, fall back to the mean-only answer on expiry,
+and hand one per-query record to every enabled observability sink.
+Planning and execution are separate so they can be cached and optimised
+independently:
 
 - **Planning** (:meth:`QueryEngine.plan`): plane choice, the
   ancestor-descendant shortcut via the LCA, Lemma-1 separator selection,
@@ -242,10 +245,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _validate(self, alpha: float) -> None:
+    def _validate(self, s: int, t: int, alpha: float) -> None:
+        index = self.index
+        for name, v in (("source", s), ("target", t)):
+            if not index.graph.has_vertex(v):
+                raise QueryValidationError(
+                    f"{name} vertex {v} is not in the indexed graph"
+                )
         if not 0.0 < alpha < 1.0:
             raise QueryValidationError(f"alpha must lie in (0, 1), got {alpha}")
-        index = self.index
         if index.z_max is not None:
             z = self.z_of(alpha)
             if abs(z) > index.z_max:
@@ -253,14 +261,6 @@ class QueryEngine:
                     f"alpha={alpha} needs |Z|={abs(z):.3f} > the index's practical "
                     f"refine bound z_max={index.z_max} (labels would be "
                     f"incomplete); build with a larger z_max or z_max=None"
-                )
-
-    def _validate_nodes(self, s: int, t: int) -> None:
-        graph = self.index.graph
-        for name, v in (("source", s), ("target", t)):
-            if not graph.has_vertex(v):
-                raise QueryValidationError(
-                    f"{name} vertex {v} is not in the indexed graph"
                 )
 
     def plan(
@@ -279,9 +279,10 @@ class QueryEngine:
         — the batch path's repeated-triple optimisation (single queries
         plan fresh, like the pre-engine code).  ``sort_hoplinks`` yields
         deterministic hoplink order for explanations; those plans always
-        bypass the cache.
+        bypass the cache.  Raises :class:`QueryValidationError` for an
+        unknown vertex or an alpha the index cannot answer.
         """
-        self._validate(alpha)
+        self._validate(s, t, alpha)
         z = self.z_of(alpha)
         if s == t:
             return QueryPlan(s, t, alpha, z, "trivial")
@@ -316,21 +317,18 @@ class QueryEngine:
         td = self.index.td
         labels = plane.labels
         ancestor = td.lca(s, t)
-        if ancestor == s or ancestor == t:
-            plan = QueryPlan(s, t, alpha, z, "ancestor")
-            plan.plane = plane
-            plan.pruning = pruning
-            plan.lca = ancestor
+        is_ancestor = ancestor == s or ancestor == t
+        plan = QueryPlan(s, t, alpha, z, "ancestor" if is_ancestor else "separator")
+        plan.plane = plane
+        plan.pruning = pruning
+        plan.lca = ancestor
+        if is_ancestor:
             plan.deeper = t if ancestor == s else s
             plan.other = s if ancestor == s else t
             return plan
 
         separator_s, separator_t = self.separators(s, t)
         hoplinks = separator_s if len(separator_s) <= len(separator_t) else separator_t
-        plan = QueryPlan(s, t, alpha, z, "separator")
-        plan.plane = plane
-        plan.pruning = pruning
-        plan.lca = ancestor
         plan.separator_s = frozenset(separator_s)
         plan.separator_t = frozenset(separator_t)
         ordered = sorted(hoplinks) if sort_hoplinks else tuple(hoplinks)
@@ -486,67 +484,50 @@ class QueryEngine:
         use_cache: bool = False,
         deadline_s: "float | None" = None,
     ) -> "QueryResult":
-        """Algorithm 1: plan (or, on the batch path, reuse) and execute.
-
-        With the observability layer off (the default) this is exactly the
-        plan+execute pair; with metrics, tracing, or the slow-query hook
-        enabled it additionally records spans, per-phase timers, the
-        Algorithm 1/2 counters, and over-threshold query log lines —
-        without changing any returned value (see the golden suite, which
-        runs bit-identical with tracing on).
+        """Algorithm 1: validate and plan (or, on the batch path, reuse a
+        memoised plan), then execute.
 
         ``deadline_s`` (seconds) arms the graceful-degradation guard: if
         planning plus the hoplink scan exceed the budget the query is
         answered from the exact mean-only fallback instead of failing,
-        flagged ``degraded=True`` and counted in
-        ``resilience.query.degraded`` (docs/resilience.md).
+        flagged ``degraded=True`` (docs/resilience.md).
+
+        With any observability sink on (metrics, tracing, the slow-query
+        log or the flight recorder) the query's flight record is built once
+        and handed to each of them (:meth:`_observe`); no sink changes a
+        returned value (the golden suite runs bit-identical with tracing
+        on).
         """
         from repro.core.query import QueryStats
 
         if stats is None:
             stats = QueryStats()
-        if deadline_s is not None:
-            self._validate_nodes(s, t)
-            return self._answer_deadline(
-                s, t, alpha, use_pruning, stats, use_cache, deadline_s
-            )
-        if not (
+        observed = (
             self._registry.enabled
             or self._tracer.enabled
             or self._slow_log.enabled
-        ):
-            if self._flight.enabled:
-                return self._answer_flight(
-                    s, t, alpha, use_pruning, stats, use_cache
-                )
-            plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
-            return self.execute(plan, stats)
-        return self._answer_observed(s, t, alpha, use_pruning, stats, use_cache)
-
-    def _answer_deadline(
-        self,
-        s: int,
-        t: int,
-        alpha: float,
-        use_pruning: bool,
-        stats: "QueryStats",
-        use_cache: bool,
-        deadline_s: float,
-    ) -> "QueryResult":
-        """Deadline-armed twin of :meth:`answer` (same answers when on time)."""
-        flight = self._flight
-        plan_hit = sep_hit = False
-        if flight.enabled:
-            plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
-        before = self._stats_snapshot(stats)
-        plan: QueryPlan | None = None
-        t_start = t_planned = perf_counter()
-        deadline_at = t_start + deadline_s
+            or self._flight.enabled
+        )
+        if observed:
+            # Cache membership before planning fills the caches; the plan
+            # key mirrors plan()'s, whose ``pruning`` is ``alpha >= 0.5``.
+            plan_hit = use_cache and (
+                (s, t, alpha, use_pruning and alpha >= 0.5) in self._plan_cache
+            )
+            sep_hit = (s, t) in self._separator_cache
+            before = (
+                stats.hoplinks,
+                stats.label_lookups,
+                stats.candidate_paths,
+                stats.surviving_paths,
+                stats.concatenations,
+            )
+        t_start = perf_counter()
+        plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
+        t_planned = perf_counter()
+        deadline_at = None if deadline_s is None else t_start + deadline_s
         try:
-            self._validate(alpha)  # validation errors are not deadline misses
-            plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
-            t_planned = perf_counter()
-            if t_planned > deadline_at:
+            if deadline_at is not None and t_planned > deadline_at:
                 raise DeadlineExpired(
                     f"query ({s}, {t}, alpha={alpha}) blew its deadline "
                     f"during planning"
@@ -554,13 +535,10 @@ class QueryEngine:
             result = self.execute(plan, stats, deadline_at=deadline_at)
         except DeadlineExpired:
             result = self._degraded_answer(s, t, alpha, stats)
-        t_done = perf_counter()
-        if flight.enabled:
-            flight.record(
-                self._flight_record(
-                    plan, result, stats, before, plan_hit, sep_hit,
-                    t_planned - t_start, t_done - t_planned, t_done - t_start,
-                )
+        if observed:
+            self._observe(
+                plan, result, stats, before, plan_hit, sep_hit,
+                t_start, t_planned, perf_counter(),
             )
         return result
 
@@ -570,219 +548,109 @@ class QueryEngine:
         """The mean-only fallback: a valid path, exact moments, flagged."""
         from repro.core.query import QueryResult
 
-        index = self.index
-        if self._registry.enabled:
-            self._c_degraded.inc()
-        with self._tracer.span("engine.degraded_fallback", s=s, t=t, alpha=alpha):
-            if s == t:
-                return QueryResult(
-                    s, t, alpha, 0.0, 0.0, 0.0, trivial_path(s), stats, degraded=True
-                )
-            _, route = mean_shortest_path(index.graph, s, t)
-            cov = index.cov if index.correlated else None
-            window = index.window
-            graph = index.graph
-            summary: PathSummary | None = None
-            for u, v in zip(route, route[1:]):
-                weight = graph.edge(u, v)
-                leg = edge_path(u, v, weight.mu, weight.variance, window > 0)
-                summary = (
-                    leg
-                    if summary is None
-                    else concatenate(summary, leg, u, cov, window)
-                )
-            assert summary is not None  # route has >= 2 vertices when s != t
-            z = self.z_of(alpha)
-            value = summary.mu + (
-                z * math.sqrt(summary.var) if summary.var > 0.0 else 0.0
-            )
+        if s == t:
             return QueryResult(
-                s, t, alpha, value, summary.mu, summary.var, summary, stats,
-                degraded=True,
+                s, t, alpha, 0.0, 0.0, 0.0, trivial_path(s), stats, degraded=True
             )
-
-    def _answer_observed(
-        self,
-        s: int,
-        t: int,
-        alpha: float,
-        use_pruning: bool,
-        stats: "QueryStats",
-        use_cache: bool,
-    ) -> "QueryResult":
-        """The instrumented twin of :meth:`answer` (same observable results)."""
-        tracer = self._tracer
-        flight = self._flight
-        plan_hit = sep_hit = False
-        if flight.enabled:
-            plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
-        before = self._stats_snapshot(stats)
-        t_start = perf_counter()
-        with tracer.span("engine.answer", s=s, t=t, alpha=alpha) as outer:
-            with tracer.span("engine.plan"):
-                plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
-            t_planned = perf_counter()
-            with tracer.span("engine.execute", case=plan.case):
-                result = self.execute(plan, stats)
-            t_done = perf_counter()
-            outer.set(case=plan.case, value=result.value)
-        elapsed = t_done - t_start
-        registry = self._registry
-        if registry.enabled:
-            self._c_queries.inc()
-            self._c_hoplinks.inc(stats.hoplinks - before[0])
-            self._c_concatenations.inc(stats.concatenations - before[1])
-            self._c_label_lookups.inc(stats.label_lookups - before[2])
-            self._c_candidate_paths.inc(stats.candidate_paths - before[3])
-            self._c_surviving_paths.inc(stats.surviving_paths - before[4])
-            # Memoised plans keep their prune attribution, so these count
-            # pruning power applied per answered query, cached or not.
-            self._c_prop2.inc(plan.pruned_prop2)
-            self._c_prop3.inc(plan.pruned_prop3)
-            self._c_prop5.inc(plan.pruned_prop5)
-            self._t_answer.observe(elapsed)
-            self._t_plan.observe(t_planned - t_start)
-            self._t_execute.observe(t_done - t_planned)
-            self._h_query.observe(elapsed)
-        slow = self._slow_log
-        if slow.enabled and slow.threshold_s is not None and elapsed >= slow.threshold_s:
-            from repro.core.query import QueryStats
-
-            lca_depth = (
-                self.index.td.depth[plan.lca] if plan.lca is not None else -1
+        index = self.index
+        _, route = mean_shortest_path(index.graph, s, t)
+        cov = index.cov if index.correlated else None
+        window = index.window
+        graph = index.graph
+        summary: PathSummary | None = None
+        for u, v in zip(route, route[1:]):
+            weight = graph.edge(u, v)
+            leg = edge_path(u, v, weight.mu, weight.variance, window > 0)
+            summary = (
+                leg if summary is None else concatenate(summary, leg, u, cov, window)
             )
-            # Per-query deltas, so a shared workload accumulator doesn't
-            # leak other queries' counts into the log line.
-            own = QueryStats(
-                hoplinks=stats.hoplinks - before[0],
-                concatenations=stats.concatenations - before[1],
-                label_lookups=stats.label_lookups - before[2],
-                candidate_paths=stats.candidate_paths - before[3],
-                surviving_paths=stats.surviving_paths - before[4],
-            )
-            slow.log(elapsed, plan, own, lca_depth)
-            if registry.enabled:
-                self._c_slow.inc()
-        if flight.enabled:
-            flight.record(
-                self._flight_record(
-                    plan, result, stats, before, plan_hit, sep_hit,
-                    t_planned - t_start, t_done - t_planned, elapsed,
-                )
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Flight recorder (see repro.obs.flight and docs/observability.md)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stats_snapshot(stats: "QueryStats") -> tuple[int, int, int, int, int]:
-        return (
-            stats.hoplinks,
-            stats.concatenations,
-            stats.label_lookups,
-            stats.candidate_paths,
-            stats.surviving_paths,
+        assert summary is not None  # route has >= 2 vertices when s != t
+        z = self.z_of(alpha)
+        value = summary.mu + (z * math.sqrt(summary.var) if summary.var > 0.0 else 0.0)
+        return QueryResult(
+            s, t, alpha, value, summary.mu, summary.var, summary, stats,
+            degraded=True,
         )
 
-    def _cache_probe(
-        self, s: int, t: int, alpha: float, use_pruning: bool, use_cache: bool
-    ) -> tuple[bool, bool]:
-        """Would this query hit the plan/separator caches?  Pure membership
-        checks mirroring :meth:`plan`'s key (``pruning`` there is
-        ``use_pruning and plane.direction != "low"``, i.e. ``alpha >= 0.5``),
-        taken *before* planning so the flight record carries hit/miss
-        attribution without threading flags through the plan path."""
-        plan_hit = (
-            use_cache
-            and (s, t, alpha, use_pruning and alpha >= 0.5) in self._plan_cache
-        )
-        sep_hit = (s, t) in self._separator_cache
-        return plan_hit, sep_hit
-
-    def _flight_record(
+    def _observe(
         self,
-        plan: "QueryPlan | None",
+        plan: QueryPlan,
         result: "QueryResult",
         stats: "QueryStats",
         before: tuple[int, int, int, int, int],
         plan_hit: bool,
         sep_hit: bool,
-        plan_s: float,
-        execute_s: float,
-        total_s: float,
-    ) -> tuple:
-        """One flight-record tuple (``repro.obs.flight.FLIGHT_FIELDS`` order).
+        t_start: float,
+        t_planned: float,
+        t_done: float,
+    ) -> None:
+        """Build one query's flight record and feed every enabled sink.
 
-        ``plan`` is None only when a deadline expired during planning; the
-        record is then the degraded fallback's ("degraded" case, no plane).
+        The record is a tuple in ``repro.obs.flight.FLIGHT_FIELDS`` order
+        carrying this query's own counts (``stats`` may be a workload-wide
+        accumulator, hence the ``before`` snapshot).  The flight ring and
+        the slow-query log take the tuple; the registry's ``engine.*``
+        counters, timers and histogram and the tracer's
+        ``engine.answer``/``engine.plan``/``engine.execute`` spans are
+        made from the same fields.
         """
-        if plan is not None:
-            plane = plan.plane.direction if plan.plane is not None else "-"
-            case = "degraded" if result.degraded else plan.case
-            lca_depth = (
-                self.index.td.depth[plan.lca] if plan.lca is not None else -1
-            )
-            sep_hit = sep_hit and plan.case == "separator"
-            p2, p3, p5 = plan.pruned_prop2, plan.pruned_prop3, plan.pruned_prop5
-        else:
-            plane, case, lca_depth = "-", "degraded", -1
-            sep_hit = False
-            p2 = p3 = p5 = 0
-        return (
-            result.source,
-            result.target,
-            result.alpha,
-            plane,
+        degraded = result.degraded
+        case = "degraded" if degraded else plan.case
+        plan_ns = int((t_planned - t_start) * 1e9)
+        execute_ns = int((t_done - t_planned) * 1e9)
+        total_ns = int((t_done - t_start) * 1e9)
+        hoplinks = stats.hoplinks - before[0]
+        lookups = stats.label_lookups - before[1]
+        candidates = stats.candidate_paths - before[2]
+        survivors = stats.surviving_paths - before[3]
+        concatenations = stats.concatenations - before[4]
+        # Memoised plans keep their prune attribution, so these count
+        # pruning power applied per answered query, cached or not.
+        p2, p3, p5 = plan.pruned_prop2, plan.pruned_prop3, plan.pruned_prop5
+        rec = (
+            plan.s, plan.t, plan.alpha,
+            plan.plane.direction if plan.plane is not None else "-",
             case,
-            lca_depth,
+            self.index.td.depth[plan.lca] if plan.lca is not None else -1,
             reference.NAME,
-            plan_hit,
-            sep_hit,
-            int(plan_s * 1e9),
-            int(execute_s * 1e9),
-            int(total_s * 1e9),
-            stats.hoplinks - before[0],
-            stats.label_lookups - before[2],
-            stats.candidate_paths - before[3],
-            stats.surviving_paths - before[4],
-            stats.concatenations - before[1],
-            p2,
-            p3,
-            p5,
-            result.degraded,
+            plan_hit, sep_hit and plan.case == "separator",
+            plan_ns, execute_ns, total_ns,
+            hoplinks, lookups, candidates, survivors, concatenations,
+            p2, p3, p5,
+            degraded,
             result_digest(result),
         )
-
-    def _answer_flight(
-        self,
-        s: int,
-        t: int,
-        alpha: float,
-        use_pruning: bool,
-        stats: "QueryStats",
-        use_cache: bool,
-    ) -> "QueryResult":
-        """The flight-only twin of :meth:`answer`: taken when the recorder
-        is armed but every aggregate sink is off, so a captured workload
-        doesn't pay the span/metrics overhead of :meth:`_answer_observed`
-        (the <3% armed budget of ``bench_flight_overhead.py``)."""
         flight = self._flight
-        plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
-        before = self._stats_snapshot(stats)
-        t_start = perf_counter()
-        plan = self.plan(s, t, alpha, use_pruning, use_cache=use_cache)
-        t_planned = perf_counter()
-        result = self.execute(plan, stats)
-        t_done = perf_counter()
         if flight.enabled:
-            flight.record(
-                self._flight_record(
-                    plan, result, stats, before, plan_hit, sep_hit,
-                    t_planned - t_start, t_done - t_planned, t_done - t_start,
-                )
+            flight.record(rec)
+        registry = self._registry
+        if registry.enabled:
+            self._c_queries.inc()
+            self._c_hoplinks.inc(hoplinks)
+            self._c_label_lookups.inc(lookups)
+            self._c_candidate_paths.inc(candidates)
+            self._c_surviving_paths.inc(survivors)
+            self._c_concatenations.inc(concatenations)
+            self._c_prop2.inc(p2)
+            self._c_prop3.inc(p3)
+            self._c_prop5.inc(p5)
+            if degraded:
+                self._c_degraded.inc()
+            self._t_answer.observe(total_ns * 1e-9)
+            self._t_plan.observe(plan_ns * 1e-9)
+            self._t_execute.observe(execute_ns * 1e-9)
+            self._h_query.observe(total_ns * 1e-9)
+        slow = self._slow_log
+        if slow.enabled and slow.log(rec) and registry.enabled:
+            self._c_slow.inc()
+        tracer = self._tracer
+        if tracer.enabled:
+            outer = tracer.add(
+                "engine.answer", t_start, t_done,
+                s=plan.s, t=plan.t, alpha=plan.alpha, case=case, value=result.value,
             )
-        return result
+            tracer.add("engine.plan", t_start, t_planned, outer)
+            tracer.add("engine.execute", t_planned, t_done, outer, case=plan.case)
 
     def answer_batch(
         self,
@@ -812,18 +680,12 @@ class QueryEngine:
 
         results = []
         for s, t, alpha in queries:
-            if per_query_stats:
-                own = QueryStats()
-                result = self.answer(
-                    s, t, alpha, use_pruning, own,
-                    use_cache=True, deadline_s=deadline_s,
-                )
-                if stats is not None:
-                    stats.merge(own)
-            else:
-                result = self.answer(
-                    s, t, alpha, use_pruning, stats,
-                    use_cache=True, deadline_s=deadline_s,
-                )
+            result = self.answer(
+                s, t, alpha, use_pruning,
+                QueryStats() if per_query_stats else stats,
+                use_cache=True, deadline_s=deadline_s,
+            )
+            if per_query_stats and stats is not None:
+                stats.merge(result.stats)
             results.append(result)
         return results

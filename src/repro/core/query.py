@@ -10,28 +10,15 @@ convenience wrapper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.pathsummary import PathSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import NRPIndex
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["QueryStats", "QueryResult", "answer_query"]
-
-
-#: QueryStats field -> the observability counter mirroring it
-#: (``repro.obs``); the registry aggregates exactly these five counters
-#: process-wide, so :meth:`QueryStats.from_registry` is a faithful view.
-_REGISTRY_COUNTERS = {
-    "hoplinks": "engine.hoplinks",
-    "concatenations": "engine.concatenations",
-    "label_lookups": "engine.label_lookups",
-    "candidate_paths": "engine.candidate_paths",
-    "surviving_paths": "engine.surviving_paths",
-}
 
 
 @dataclass
@@ -55,9 +42,8 @@ class QueryStats:
       nothing.
 
     The same five counters are mirrored into the process-wide
-    observability registry (``repro.obs``) whenever it is enabled;
-    :meth:`from_registry` reads them back, making ``QueryStats`` a thin
-    view over the registry for whole-process aggregates.
+    observability registry (``repro.obs``) as ``engine.<field>`` whenever
+    it is enabled.
     """
 
     hoplinks: int = 0
@@ -74,26 +60,7 @@ class QueryStats:
         self.surviving_paths += other.surviving_paths
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in _REGISTRY_COUNTERS}
-
-    @classmethod
-    def from_registry(cls, registry: "MetricsRegistry | None" = None) -> "QueryStats":
-        """The process-wide aggregate as a ``QueryStats`` (see ``repro.obs``).
-
-        Reads the engine counters the observability registry accumulated
-        since its last reset — the whole-process equivalent of threading
-        one shared accumulator through every query call.
-        """
-        if registry is None:
-            from repro.obs import get_registry
-
-            registry = get_registry()
-        return cls(
-            **{
-                field_name: registry.counter(counter_name).value
-                for field_name, counter_name in _REGISTRY_COUNTERS.items()
-            }
-        )
+        return asdict(self)
 
 
 @dataclass

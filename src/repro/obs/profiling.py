@@ -7,11 +7,12 @@ thread snapshots the profiled thread's frames every ``interval`` seconds
 runs without the 2-5x slowdown of a deterministic tracer — and costs
 exactly nothing unless the context manager is entered.
 
-:class:`SlowQueryLog` is the per-query deadline hook: the engine compares
-each answered query's elapsed time against the configured threshold and,
-over it, emits one ``repro.obs.slowquery`` log line carrying enough plan
-detail (plane, LCA depth, hoplink count, per-proposition prune counts) to
-diagnose the query without re-running it.
+:class:`SlowQueryLog` is the per-query deadline hook: it compares each
+answered query's flight record (``total_ns``) against the configured
+threshold and, over it, emits one ``repro.obs.slowquery`` log line
+carrying enough plan detail (plane, LCA depth, hoplink count,
+per-proposition prune counts) to diagnose the query without re-running
+it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import logging
 import sys
 import threading
 from time import perf_counter
-from typing import Any
+
+from repro.obs.flight import FLIGHT_FIELDS
 
 __all__ = [
     "SamplingProfiler",
@@ -34,6 +36,8 @@ PROFILE_SCHEMA = "repro.obs.profile/1"
 
 #: Logger the slow-query hook writes to (one line per slow query).
 SLOW_QUERY_LOGGER = "repro.obs.slowquery"
+
+_TOTAL_NS = FLIGHT_FIELDS.index("total_ns")
 
 
 class SamplingProfiler:
@@ -124,7 +128,7 @@ class SlowQueryLog:
     """Deadline hook: log one diagnosable line per over-threshold query.
 
     Disabled until a threshold is set (``threshold_s = None``).  The
-    engine calls :meth:`log` with the executed plan; the emitted line
+    engine calls :meth:`log` with each query's flight record; the line
     contains everything needed to understand the query's cost shape:
     plane direction, LCA depth, hoplink count, candidate/surviving path
     counts, and per-proposition prune counts.
@@ -149,30 +153,32 @@ class SlowQueryLog:
         """Zero the logged-entry count (the threshold is left configured)."""
         self.logged = 0
 
-    def log(self, elapsed_s: float, plan: Any, stats: Any, lca_depth: int = -1) -> bool:
-        """Emit the slow-query line if ``elapsed_s`` is over threshold."""
+    def log(self, rec: tuple) -> bool:
+        """Emit the slow-query line for one flight record (a tuple in
+        :data:`~repro.obs.flight.FLIGHT_FIELDS` order) if its
+        ``total_ns`` is at or over the threshold."""
         threshold = self.threshold_s
-        if threshold is None or elapsed_s < threshold:
+        if threshold is None or rec[_TOTAL_NS] < threshold * 1e9:
             return False
-        plane = plan.plane.direction if plan.plane is not None else "-"
+        f = dict(zip(FLIGHT_FIELDS, rec))
         self._logger.warning(
             "slow query s=%d t=%d alpha=%g case=%s plane=%s elapsed_ms=%.3f "
             "lca_depth=%d hoplinks=%d candidates=%d survivors=%d "
             "pruned_prop2=%d pruned_prop3=%d pruned_prop5=%d concatenations=%d",
-            plan.s,
-            plan.t,
-            plan.alpha,
-            plan.case,
-            plane,
-            elapsed_s * 1000.0,
-            lca_depth,
-            len(plan.hoplinks),
-            stats.candidate_paths,
-            stats.surviving_paths,
-            plan.pruned_prop2,
-            plan.pruned_prop3,
-            plan.pruned_prop5,
-            stats.concatenations,
+            f["s"],
+            f["t"],
+            f["alpha"],
+            f["case"],
+            f["plane"],
+            f["total_ns"] / 1e6,
+            f["lca_depth"],
+            f["hoplinks"],
+            f["candidate_paths"],
+            f["surviving_paths"],
+            f["pruned_prop2"],
+            f["pruned_prop3"],
+            f["pruned_prop5"],
+            f["concatenations"],
         )
         self.logged += 1
         return True

@@ -110,6 +110,38 @@ class Tracer:
             return _NOOP
         return Span(self, name, attrs)
 
+    def add(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        parent: "Span | None" = None,
+        **attrs: Any,
+    ) -> Span:
+        """Record an already-finished span timed by ``perf_counter``.
+
+        For callers that time a phase themselves and report it afterwards
+        (the query engine builds its spans from the per-query record).
+        ``parent`` defaults to this thread's innermost open span.  Only
+        call while :attr:`enabled`.
+        """
+        span = Span(self, name, attrs)
+        if parent is None:
+            stack = self._stack()
+            span.parent = stack[-1].id if stack else -1
+        else:
+            span.parent = parent.id
+        span.start = start
+        span.end = end
+        with self._lock:
+            span.id = self._next_id
+            self._next_id += 1
+            if len(self._spans) < self.max_spans:
+                self._spans.append(span)
+            else:
+                self.dropped += 1
+        return span
+
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -163,7 +195,7 @@ class Tracer:
 
     @property
     def spans(self) -> list[Span]:
-        """Finished spans, in completion order."""
+        """Finished spans, in the order they were recorded."""
         return list(self._spans)
 
     # ------------------------------------------------------------------

@@ -719,11 +719,6 @@ class QueryServer:
                 )
             except QueryValidationError as exc:
                 self._finish_error(pending, "invalid", str(exc))
-            except KeyError as exc:
-                # deadline-less answers skip _validate_nodes and hit the
-                # adjacency dict directly; render it as the same refusal
-                vertex = exc.args[0] if exc.args else exc
-                self._finish_error(pending, "invalid", f"unknown vertex {vertex}")
             except ValueError as exc:
                 self._finish_error(pending, "unreachable", str(exc))
             except Exception as exc:  # keep the worker alive no matter what

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import logging
 import random
 import time
 from pathlib import Path
@@ -89,7 +90,8 @@ class TestGoldenWithObservation:
 class TestDisabledOverhead:
     def test_disabled_guard_within_two_percent(self):
         """With observation off, ``answer()`` pays exactly one combined
-        guard (``registry.enabled or tracer.enabled or slow.enabled``);
+        guard (``registry.enabled or tracer.enabled or slow.enabled or
+        flight.enabled``);
         separator/plan-cache guards sit behind cache misses.  Measure the
         guard against real per-query latency and budget two guards per
         query for slack: still < 2%."""
@@ -123,6 +125,7 @@ class TestDisabledOverhead:
                     engine._registry.enabled
                     or engine._tracer.enabled
                     or engine._slow_log.enabled
+                    or engine._flight.enabled
                 ):
                     pass
 
@@ -163,9 +166,10 @@ class TestRegistryMirror:
                 continue
             index.query(s, t, rng.choice((0.8, 0.9, 0.95)), stats=stats)
             queries += 1
-        mirrored = QueryStats.from_registry()
-        assert mirrored.as_dict() == stats.as_dict()
-        assert obs.registry().counter("engine.queries").value == queries
+        registry = obs.registry()
+        for name, value in stats.as_dict().items():
+            assert registry.counter(f"engine.{name}").value == value, name
+        assert registry.counter("engine.queries").value == queries
         # Prune counters attribute every pruned path to exactly one rule.
         doc = obs.registry().to_json()["counters"]
         pruned = (
@@ -174,6 +178,56 @@ class TestRegistryMirror:
             + doc["engine.prune.prop5"]["value"]
         )
         assert pruned == stats.candidate_paths - stats.surviving_paths
+
+    @pytest.mark.parametrize("deadline_s", [None, 5.0])
+    def test_every_sink_sees_the_same_queries(self, deadline_s, caplog):
+        """With all four sinks armed, the registry, the slow-query log and
+        the tracer each account for exactly the queries the flight ring
+        recorded, whether or not a deadline is armed."""
+        index = build_index(make_random_instance(17, n=16, extra=12, cv=0.5))
+        rng = random.Random(4)
+        vertices = sorted(index.graph.vertices())
+        workload = [
+            (rng.choice(vertices), rng.choice(vertices), rng.choice((0.8, 0.95)))
+            for _ in range(40)
+        ]
+        obs.enable(metrics=True, tracing=True, flight=True)
+        obs.slow_query_log().configure(0.0)
+        with caplog.at_level(logging.WARNING, logger=obs.SLOW_QUERY_LOGGER):
+            for s, t, alpha in workload[:20]:
+                index.query(s, t, alpha, deadline_s=deadline_s)
+            index.query_batch(workload[20:], deadline_s=deadline_s)
+
+        records = obs.flight_recorder().records()
+        assert len(records) == len(workload)
+        field = {name: i for i, name in enumerate(obs.FLIGHT_FIELDS)}
+        registry = obs.registry()
+        assert registry.counter("engine.queries").value == len(records)
+        for counter, name in (
+            ("engine.hoplinks", "hoplinks"),
+            ("engine.label_lookups", "label_lookups"),
+            ("engine.candidate_paths", "candidate_paths"),
+            ("engine.surviving_paths", "surviving_paths"),
+            ("engine.concatenations", "concatenations"),
+            ("engine.prune.prop2", "pruned_prop2"),
+            ("engine.prune.prop3", "pruned_prop3"),
+            ("engine.prune.prop5", "pruned_prop5"),
+        ):
+            total = sum(rec[field[name]] for rec in records)
+            assert registry.counter(counter).value == total, counter
+        assert registry.timer("engine.answer").count == len(records)
+        assert registry.counter("engine.prune.prop2").value > 0  # pruning ran
+
+        lines = [r for r in caplog.records if r.name == obs.SLOW_QUERY_LOGGER]
+        assert len(lines) == len(records)
+        assert obs.slow_query_log().logged == len(records)
+
+        spans = obs.tracer().spans
+        answers = [sp for sp in spans if sp.name == "engine.answer"]
+        assert len(answers) == len(records)
+        for answer in answers:
+            children = {sp.name for sp in spans if sp.parent == answer.id}
+            assert children == {"engine.plan", "engine.execute"}
 
     def test_ancestor_case_surviving_equals_candidate(self):
         """Satellite regression: in the ancestor case there is no opposite

@@ -87,8 +87,14 @@ class TestValidation:
             index.query(0, 5, 1.5, deadline_s=TIGHT)
 
     def test_unknown_vertex_rejected(self, index):
-        with pytest.raises(QueryValidationError, match="not in the indexed graph"):
-            index.query(0, 10**6, 0.9, deadline_s=GENEROUS)
+        # With and without a deadline, either endpoint, and s == t (which
+        # must not short-circuit to a phantom zero-cost answer).
+        for deadline_s in (GENEROUS, None):
+            for s, t in ((0, 10**6), (10**6, 0), (10**6, 10**6)):
+                with pytest.raises(QueryValidationError, match="not in the indexed"):
+                    index.query(s, t, 0.9, deadline_s=deadline_s)
+                with pytest.raises(QueryValidationError, match="not in the indexed"):
+                    index.query_batch([(0, 5, 0.9), (s, t, 0.9)], deadline_s=deadline_s)
 
     def test_validation_errors_stay_valueerrors(self, index):
         with pytest.raises(ValueError):

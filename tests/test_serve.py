@@ -169,7 +169,8 @@ class TestServerE2E:
         with ServeClient(port=server.port) as client:
             bad_alpha = client.query(0, 5, 1.7)
             bad_vertex = client.query(0, 10_000, 0.9)
-            good = client.query(0, 5, 0.9)  # connection survives both
+            bad_self = client.query(10_000, 10_000, 0.9)
+            good = client.query(0, 5, 0.9)  # connection survives all three
         assert bad_alpha == {
             "id": None,
             "ok": False,
@@ -177,6 +178,7 @@ class TestServerE2E:
             "detail": bad_alpha["detail"],
         }
         assert bad_vertex["error"] == "invalid"
+        assert bad_self["error"] == "invalid"
         assert good["ok"]
 
     def test_mixed_batch_isolates_bad_query(self, serve_index):
