@@ -17,6 +17,16 @@ extension ``p_3``, ``sqrt(s1^2+s3^2) - sqrt(s2^2+s3^2) <= s1 - s2`` whenever
 correlated check applies the same compression argument to the covariance-
 adjusted variances ``sigma_i^2 + 2*cov(p_i, q)`` for each neighbourhood
 window ``q`` (and the empty window).
+
+The correlated check is bound first.  ``NeighborhoodCache.covariance_bounds``
+brackets ``cov(p, q)`` over every window ``q`` of an endpoint, and the
+condition is tried once on the extremes: ``p_1``'s upper bound against
+``p_2``'s lower bound on the high side, the reverse on the low side.  The
+condition is monotone in both adjusted variances, and so are rounded ``+``,
+``*2``, ``sqrt`` and ``mu + z*s`` for ``z >= 0``; so when the extremes pass,
+every window passes.  Only an inconclusive bound merges the covariances and
+runs the per-window check, so the kept set is bit-identical to the one the
+per-window check alone would keep.
 """
 
 from __future__ import annotations
@@ -126,6 +136,7 @@ class NeighborhoodCache:
             tuple[tuple[tuple[EdgeKey, ...], ...], dict[EdgeKey, tuple[int, ...]]],
         ] = {}
         self._rowsums: dict[int, dict[EdgeKey, dict[int, float]]] = {}
+        self._rowsum_bounds: dict[int, dict[EdgeKey, tuple[float, float]]] = {}
 
     def windows(self, v: int) -> tuple[tuple[EdgeKey, ...], ...]:
         return self._entry(v)[0]
@@ -152,6 +163,28 @@ class NeighborhoodCache:
                         cached[i] = cached.get(i, 0.0) + value
             per_vertex[e] = cached
         return cached
+
+    def covariance_bounds(
+        self, v: int, window: tuple[EdgeKey, ...]
+    ) -> tuple[float, float]:
+        """``(lo, hi)`` with ``lo <= cov(path, q_i) <= hi`` for every window
+        ``q_i`` at ``v``, and ``lo <= 0.0 <= hi``.
+
+        Sums each edge's smallest and largest rowsum (0.0 included, for the
+        windows it misses) in :meth:`path_covariances`' merge order.  Rounded
+        addition is monotone, so the sums bound each merged value term by
+        term without merging anything.
+        """
+        per_vertex = self._rowsum_bounds.setdefault(v, {})
+        lo = hi = 0.0
+        for e in set(window):
+            bounds = per_vertex.get(e)
+            if bounds is None:
+                values = (0.0, *self.rowsums(v, e).values())
+                bounds = per_vertex[e] = (min(values), max(values))
+            lo += bounds[0]
+            hi += bounds[1]
+        return lo, hi
 
     def path_covariances(self, v: int, window: tuple[EdgeKey, ...]) -> dict[int, float]:
         """``{window index i: cov(path, q_i)}`` for a path window at ``v``.
@@ -269,42 +302,66 @@ class Refiner:
             ordered = sorted(paths, key=lambda p: (p.mu, -p.var))
         endpoints = tuple(x for x in ((u,) if u == v else (u, v)) if self.flags.get(x))
         neighborhoods = self.neighborhoods
-        # Covariance vectors per path and flagged endpoint, computed once:
-        # vecs[j][x] = {window index i at x: cov(path_j, q_i)}.
-        vecs: list[dict[int, dict[int, float]]] = [
-            {
-                x: neighborhoods.path_covariances(x, p.window_at(x))
-                for x in endpoints
-            }
-            for p in ordered
-        ]
+        # Covariance bounds per path and flagged endpoint, computed when a
+        # pair with the path first passes the empty-window check:
+        # bounds[j][x] = covariance_bounds(x, window of path j at x).
+        bounds: list[dict[int, tuple[float, float]] | None] = [None] * len(ordered)
+
+        def bounds_of(j: int) -> dict[int, tuple[float, float]]:
+            entry = bounds[j]
+            if entry is None:
+                path = ordered[j]
+                entry = bounds[j] = {
+                    x: neighborhoods.covariance_bounds(x, path.window_at(x))
+                    for x in endpoints
+                }
+            return entry
+
+        condition = self._adjusted_condition
         kept: list[int] = []
         for j, candidate in enumerate(ordered):
-            if not any(
-                self._dominates(ordered[i], candidate, vecs[i], vecs[j], endpoints)
-                for i in kept
-            ):
+            for i in kept:
+                p1 = ordered[i]
+                if condition(
+                    p1.mu, p1.var, candidate.mu, candidate.var
+                ) and self._windows_dominate(
+                    p1, candidate, bounds_of(i), bounds_of(j), endpoints
+                ):
+                    break
+            else:
                 kept.append(j)
         return [ordered[j] for j in kept]
 
-    def _dominates(
+    def _windows_dominate(
         self,
         p1: PathSummary,
         p2: PathSummary,
-        vec1: dict[int, dict[int, float]],
-        vec2: dict[int, dict[int, float]],
+        bounds1: dict[int, tuple[float, float]],
+        bounds2: dict[int, tuple[float, float]],
         endpoints: tuple[int, ...],
     ) -> bool:
-        """Proposition 4 check (``mu_1 <= mu_2`` holds by sort order)."""
-        if not self._adjusted_condition(p1.mu, p1.var, p2.mu, p2.var):
-            return False  # the empty-window check
+        """Proposition 4 over every neighbourhood window, bound first.
+
+        Requires ``mu_1 <= mu_2`` (sort order) and a passed empty-window
+        check.  The extremes test is sufficient, not necessary (see the
+        module docstring); when it fails, the per-window check decides.
+        """
+        condition = self._adjusted_condition
+        low = self.direction == "low"
         for x in endpoints:
-            c1s = vec1[x]
-            c2s = vec2[x]
-            if not c1s and not c2s:
+            lo1, hi1 = bounds1[x]
+            lo2, hi2 = bounds2[x]
+            if condition(
+                p1.mu,
+                p1.var + 2.0 * (lo1 if low else hi1),
+                p2.mu,
+                p2.var + 2.0 * (hi2 if low else lo2),
+            ):
                 continue
+            c1s = self.neighborhoods.path_covariances(x, p1.window_at(x))
+            c2s = self.neighborhoods.path_covariances(x, p2.window_at(x))
             for i in c1s.keys() | c2s.keys():
-                if not self._adjusted_condition(
+                if not condition(
                     p1.mu,
                     p1.var + 2.0 * c1s.get(i, 0.0),
                     p2.mu,

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from conftest import make_random_instance
+from conftest import make_correlated_instance, make_random_instance
+from repro import build_index
 from repro.baselines.brute_force import exact_non_dominated
 from repro.core.construction import EdgeSetStore, build_edge_sets, build_labels
 from repro.core.refine import Refiner
+from repro.network.datasets import make_dataset
 from repro.network.generators import PAPER_FIGURE1_ORDER, paper_figure1
 from repro.treedec.decomposition import build_tree_decomposition
 
@@ -103,3 +107,41 @@ class TestRandomGraphInvariants:
         for v in td.order:
             if v != td.root:
                 assert td.root in labels[v]
+
+
+def label_fingerprint(index) -> str:
+    """sha256 over every ``(v, u, mu, var, vertices)`` of every plane."""
+    digest = hashlib.sha256()
+    for plane in index.planes():
+        digest.update(plane.direction.encode())
+        for v in sorted(plane.labels):
+            entry = plane.labels[v]
+            for u in sorted(entry):
+                for p in entry[u].paths:
+                    digest.update(repr((v, u, p.mu, p.var, p.vertices())).encode())
+    return digest.hexdigest()
+
+
+class TestCorrelatedLabelFingerprint:
+    """Correlated labels of both planes are pinned bit for bit."""
+
+    def test_ny_both_planes(self):
+        graph, cov = make_dataset("NY", scale=0.3, cv=0.5, hops=4, correlated=True)
+        index = build_index(graph, cov, window=4, support_low_alpha=True)
+        assert label_fingerprint(index) == (
+            "75de5cca6482ac6350ee6f7cdb0adea5161f8ccb948b0411f699343ba6ad2f56"
+        )
+
+    @pytest.mark.parametrize(
+        "seed, hops, expected",
+        [
+            (0, 2, "d3b21056b6cdf594aede5cb0a590c357d1db79b693e4593cb2e00da943c3eeac"),
+            (1, 3, "5fdd8597772454e8d7ec1d4f054144e87971a24e41bcd28d748cb7e10231ce67"),
+        ],
+    )
+    def test_small_strict_both_planes(self, seed, hops, expected):
+        graph, cov = make_correlated_instance(seed, hops=hops)
+        index = build_index(
+            graph, cov, window=hops, z_max=None, support_low_alpha=True
+        )
+        assert label_fingerprint(index) == expected

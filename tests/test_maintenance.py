@@ -13,8 +13,11 @@ from repro.baselines.brute_force import exact_rsp
 
 def label_snapshot(index):
     return {
-        v: {u: tuple((p.mu, p.var) for p in ls.paths) for u, ls in entry.items()}
-        for v, entry in index.labels.items()
+        plane.direction: {
+            v: {u: tuple((p.mu, p.var) for p in ls.paths) for u, ls in entry.items()}
+            for v, entry in plane.labels.items()
+        }
+        for plane in index.planes()
     }
 
 
@@ -38,10 +41,14 @@ class TestEquivalenceWithRebuild:
             fresh = build_index(graph, order=index.td.order)
             assert label_snapshot(index) == label_snapshot(fresh)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_correlated_updates(self, seed):
+    @pytest.mark.parametrize(
+        "seed, low",
+        [pytest.param(seed, False, id=str(seed)) for seed in range(3)]
+        + [pytest.param(seed, True, id=f"{seed}-low") for seed in range(3)],
+    )
+    def test_correlated_updates(self, seed, low):
         graph, cov = make_correlated_instance(seed, n=10, extra=8)
-        index = build_index(graph, cov, window=3)
+        index = build_index(graph, cov, window=3, support_low_alpha=low)
         maintainer = IndexMaintainer(index)
         rng = random.Random(seed + 900)
         edges = list(graph.edge_keys())
@@ -49,7 +56,9 @@ class TestEquivalenceWithRebuild:
             u, v = edges[rng.randrange(len(edges))]
             w = graph.edge(u, v)
             maintainer.update_edge(u, v, w.mu * 1.7, w.variance * 1.3 + 0.05)
-            fresh = build_index(graph, cov, window=3, order=index.td.order)
+            fresh = build_index(
+                graph, cov, window=3, order=index.td.order, support_low_alpha=low
+            )
             assert label_snapshot(index) == label_snapshot(fresh)
 
     @pytest.mark.parametrize("seed", range(5))

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pathsummary import edge_path
+from repro.core.pathsummary import PathSummary, edge_path
 from repro.core.refine import (
     PRACTICAL_Z_MAX,
     NeighborhoodCache,
@@ -16,6 +16,7 @@ from repro.core.refine import (
     refine_independent,
 )
 from repro.network.covariance import CovarianceStore
+from repro.network.generators import random_connected_graph
 from repro.network.graph import StochasticGraph
 
 
@@ -199,3 +200,146 @@ class TestRefinerCorrelated:
         cov.set((0, 1), (1, 2), 0.5)
         with pytest.raises(ValueError):
             Refiner(3.1, cov)
+
+
+def _condition(mu1, var1, mu2, var2, z_max, low):
+    """Proposition 4 for one adjusted-variance pair (``mu1 <= mu2``)."""
+    if low:
+        if var1 >= var2:
+            return True
+        if z_max is None:
+            return False
+        s1 = math.sqrt(var1) if var1 > 0.0 else 0.0
+        s2 = math.sqrt(var2) if var2 > 0.0 else 0.0
+        return mu1 - z_max * s1 <= mu2 - z_max * s2
+    if var1 <= var2:
+        return True
+    if z_max is None:
+        return False
+    s1 = math.sqrt(var1) if var1 > 0.0 else 0.0
+    s2 = math.sqrt(var2) if var2 > 0.0 else 0.0
+    return mu1 + z_max * s1 <= mu2 + z_max * s2
+
+
+def _oracle_refine(paths, cache, flags, z_max, direction):
+    """Proposition 4 spelled out: every kept path against every window."""
+    low = direction == "low"
+    ordered = sorted(paths, key=lambda p: (p.mu, -p.var if low else p.var))
+    u, v = ordered[0].a, ordered[0].b
+    endpoints = [x for x in ((u,) if u == v else (u, v)) if flags.get(x)]
+
+    def dominates(p1, p2):
+        if not _condition(p1.mu, p1.var, p2.mu, p2.var, z_max, low):
+            return False
+        for x in endpoints:
+            c1s = cache.path_covariances(x, p1.window_at(x))
+            c2s = cache.path_covariances(x, p2.window_at(x))
+            for i in c1s.keys() | c2s.keys():
+                if not _condition(
+                    p1.mu,
+                    p1.var + 2.0 * c1s.get(i, 0.0),
+                    p2.mu,
+                    p2.var + 2.0 * c2s.get(i, 0.0),
+                    z_max,
+                    low,
+                ):
+                    return False
+        return True
+
+    kept = []
+    for candidate in ordered:
+        if not any(dominates(p, candidate) for p in kept):
+            kept.append(candidate)
+    return kept
+
+
+class TestProposition4Oracle:
+    """The bound-first refine keeps exactly what the per-window check keeps."""
+
+    @pytest.mark.parametrize("direction", ["high", "low"])
+    @pytest.mark.parametrize("z_max", [3.1, None])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_signed_sets_match_oracle(self, seed, z_max, direction):
+        rng = random.Random(seed)
+        graph = random_connected_graph(12, 10, seed=seed)
+        edges = sorted(graph.edge_keys())
+        cov = CovarianceStore()
+        for i, e in enumerate(edges):
+            for f in edges[i + 1 :]:
+                if rng.random() < 0.3:
+                    cov.set(e, f, rng.uniform(-0.6, 0.6))
+        cache = NeighborhoodCache(graph, cov, hops=2)
+        flags = {x: True for x in graph.vertices()}
+        refiner = Refiner(z_max, cov, cache, flags, direction=direction)
+        u, v = rng.sample(sorted(graph.vertices()), 2)
+        pool = [tuple(rng.sample(edges, rng.randint(1, 3))) for _ in range(6)]
+        for _ in range(4):
+            paths = [
+                PathSummary(
+                    rng.uniform(1.0, 10.0),
+                    rng.uniform(0.5, 6.0),
+                    u,
+                    v,
+                    rng.choice(pool),
+                    rng.choice(pool),
+                    3,
+                )
+                for _ in range(30)
+            ]
+            expected = _oracle_refine(paths, cache, flags, z_max, direction)
+            kept = refiner.refine(paths)
+            assert [id(p) for p in kept] == [id(p) for p in expected]
+        for x in (u, v):
+            for window in pool:
+                lo, hi = cache.covariance_bounds(x, window)
+                values = cache.path_covariances(x, window).values()
+                assert lo <= min(values, default=0.0) and lo <= 0.0
+                assert hi >= max(values, default=0.0) and hi >= 0.0
+
+    @pytest.fixture()
+    def star(self):
+        g = StochasticGraph()
+        for leaf in range(1, 6):
+            g.add_edge(0, leaf, 1.0, 1.0)
+        return g
+
+    def test_dominance_found_when_the_bound_is_inconclusive(self, star):
+        cov = CovarianceStore()
+        cov.set((0, 1), (0, 2), 0.5)
+        cache = NeighborhoodCache(star, cov, hops=1)
+        flags = {0: True}
+        p1 = PathSummary(1.0, 4.0, 0, 5, ((0, 1),), (), 2)
+        p2 = PathSummary(2.0, 4.0, 0, 5, ((0, 1),), (), 2)
+        lo, hi = cache.covariance_bounds(0, ((0, 1),))
+        assert (lo, hi) == (0.0, 0.5)
+        assert list(cache.path_covariances(0, ((0, 1),)).values()) == [0.5]
+        # Extremes: 4 + 2*0.5 > 4 + 2*0.0, so the bound cannot decide ...
+        assert not _condition(1.0, 4.0 + 2.0 * hi, 2.0, 4.0 + 2.0 * lo, None, False)
+        # ... but the only window adjusts both variances alike.
+        kept = Refiner(None, cov, cache, flags).refine([p2, p1])
+        assert kept == [p1]
+
+    def test_single_window_blocks_dominance(self, star):
+        cov = CovarianceStore()
+        cov.set((0, 1), (0, 2), 0.5)
+        cov.set((0, 3), (0, 4), -1.0)
+        cache = NeighborhoodCache(star, cov, hops=1)
+        flags = {0: True}
+        p1 = PathSummary(1.0, 4.0, 0, 5, ((0, 1),), (), 2)
+        p2 = PathSummary(2.0, 5.0, 0, 5, ((0, 3),), (), 2)
+        c1s = cache.path_covariances(0, ((0, 1),))
+        c2s = cache.path_covariances(0, ((0, 3),))
+        failing = [
+            i
+            for i in c1s.keys() | c2s.keys()
+            if not _condition(
+                1.0, 4.0 + 2.0 * c1s.get(i, 0.0), 2.0, 5.0 + 2.0 * c2s.get(i, 0.0),
+                None, False,
+            )
+        ]
+        assert len(failing) == 1
+        assert Refiner(None, cov, cache, flags).refine([p1, p2]) == [p1, p2]
+        # Without the blocking covariance p1 dominates p2.
+        cov.set((0, 3), (0, 4), 0.0)
+        cache = NeighborhoodCache(star, cov, hops=1)
+        assert Refiner(None, cov, cache, flags).refine([p1, p2]) == [p1]
