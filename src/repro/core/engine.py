@@ -204,7 +204,6 @@ class QueryEngine:
         self._c_sep_miss = reg.counter("engine.separator_cache.miss")
         self._c_slow = reg.counter("engine.slow_queries")
         self._c_degraded = reg.counter("resilience.query.degraded")
-        self._c_scan = reg.counter("kernels.calls.scan")
         self._t_answer = reg.timer("engine.answer")
         self._t_plan = reg.timer("engine.plan")
         self._t_execute = reg.timer("engine.execute")
@@ -372,8 +371,6 @@ class QueryEngine:
         set_sh, set_ht = task.set_sh, task.set_ht
         idx_sh, idx_ht = task.idx_sh, task.idx_ht
         if not index.correlated:
-            if self._registry.enabled:
-                self._c_scan.inc()
             mus_sh, _, vars_sh, _, _ = set_sh.columns()
             mus_ht, _, vars_ht, _, _ = set_ht.columns()
             return reference.scan_pairs(
@@ -402,8 +399,6 @@ class QueryEngine:
 
     def best_in_label(self, label_set: LabelPathSet, z: float) -> tuple[float, int]:
         """Best stored path of one label entry at ``Z_alpha = z``."""
-        if self._registry.enabled:
-            self._c_scan.inc()
         mus, sigmas, _, _, _ = label_set.columns()
         value, best_i = reference.best_label(mus, sigmas, z)
         if best_i < 0:

@@ -20,9 +20,10 @@ answer: there is exactly one set, and nothing reads ``NRP_KERNELS``.
 Layering: kernels are a numeric leaf *below* the storage layer — they
 may import ``repro.stats`` and nothing else of the tree (enforced by
 nrplint NRP001), and every function in the kernel module must be pure
-(NRP006).  Observability counters for kernel calls are therefore
-emitted by the *callers* (pruning/refine/engine/labelstore), never from
-inside a kernel.
+(NRP006).  No registry counter tracks kernel calls: per-query call
+counts follow from the flight record (docs/observability.md), and
+kernel time is measured by wrapping the module's functions from outside
+or by :class:`repro.obs.SamplingProfiler`.
 """
 
 from __future__ import annotations

@@ -304,9 +304,6 @@ class LabelStore(ColumnarPathStore):
         )
         self.ub.extend(ub)
         self.lb.extend(lb)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("kernels.calls.bound_refs").inc()
 
     @contextmanager
     def deferred_bound_refs(self) -> Iterator[None]:
@@ -340,7 +337,6 @@ class LabelStore(ColumnarPathStore):
     ) -> None:
         if not pending:
             return
-        started = perf_counter()
         for info, precomputed in pending:
             if len(self.ub) != info.start:
                 raise RuntimeError("bound-ref columns out of sync with deferred entries")
@@ -349,9 +345,6 @@ class LabelStore(ColumnarPathStore):
                 self.lb.extend(precomputed[1])
             else:
                 self._extend_bound_refs(info)
-        registry = get_registry()
-        if registry.enabled:
-            registry.timer("kernels.bound_refs").observe(perf_counter() - started)
 
     def bound_refs(self, info: Slice) -> tuple[array, array]:
         """The ``(ub, lb)`` column slices of one entry (independent only)."""

@@ -22,12 +22,10 @@ dominance of Proposition 5 instead.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.kernels import reference
 from repro.core.pathsummary import PathSummary
-from repro.obs import get_registry
 from repro.stats.normal import phi_cdf
 from repro.stats.zscores import z_value
 
@@ -233,7 +231,6 @@ def prune_pair(
     the per-proposition attribution behind the observability layer's
     ``engine.prune.prop2/prop3`` counters.
     """
-    started = perf_counter()
     mus, sigmas, _, ub, lb = set_sh.columns()
     keep_sh, n2_sh, n3_sh = reference.prune_independent(
         mus, sigmas, ub, lb, set_ht.sigma_min, set_ht.sigma_max, alpha
@@ -245,10 +242,6 @@ def prune_pair(
     if counts is not None:
         # nrplint: disable-next-line=purity -- counts is the documented obs accumulator out-param (prune attribution); it never feeds back into pruning decisions
         counts[0], counts[1] = counts[0] + n2_sh + n2_ht, counts[1] + n3_sh + n3_ht
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("kernels.calls.prune").inc(2)
-        registry.timer("kernels.prune").observe(perf_counter() - started)
     return keep_sh, keep_ht
 
 
@@ -268,7 +261,6 @@ def prune_correlated(
     ``counts``, when given, is a one-slot accumulator incremented per
     pruned path (the ``engine.prune.prop5`` counter).
     """
-    started = perf_counter()
     z = z_value(alpha)
     mus, sigmas, _, _, _ = set_sh.columns()
     survivors_sh = reference.prune_correlated_keep(mus, sigmas, set_ht.sigma_max, z)
@@ -279,8 +271,4 @@ def prune_correlated(
         counts[0] += (len(set_sh) - len(survivors_sh)) + (
             len(set_ht) - len(survivors_ht)
         )
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("kernels.calls.prune").inc(2)
-        registry.timer("kernels.prune").observe(perf_counter() - started)
     return survivors_sh, survivors_ht

@@ -32,12 +32,10 @@ per-window check alone would keep.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.kernels import reference
 from repro.core.pathsummary import PathSummary
-from repro.obs import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.covariance import CovarianceStore
@@ -63,7 +61,6 @@ def _refine_sweep(
     low: bool,
 ) -> list[PathSummary]:
     """Sort, run the kernel sweep, and map kept indices back to paths."""
-    started = perf_counter()
     if low:
         # Equal means: the largest variance wins on (0, 0.5).
         ordered = sorted(paths, key=lambda p: (p.mu, -p.var))
@@ -76,12 +73,7 @@ def _refine_sweep(
         z_max,
         low,
     )
-    result = [ordered[i] for i in kept]
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("kernels.calls.refine").inc()
-        registry.timer("kernels.refine").observe(perf_counter() - started)
-    return result
+    return [ordered[i] for i in kept]
 
 
 def refine_independent(

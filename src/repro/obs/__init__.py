@@ -174,10 +174,6 @@ def _preregister() -> None:
         ("resilience.query.degraded", "deadline misses answered by the mean-only fallback"),
         ("resilience.io.retries", "atomic writes retried after transient OSError"),
         ("resilience.wal.replayed", "maintenance batches replayed from the WAL on reopen"),
-        ("kernels.calls.prune", "kernel prune passes (Algorithm 2 / Proposition 5 sides)"),
-        ("kernels.calls.refine", "kernel refine sweeps (RF)"),
-        ("kernels.calls.bound_refs", "kernel Definition-10/11 bound-reference batches"),
-        ("kernels.calls.scan", "kernel concatenation/label scans (Algorithm 1)"),
         ("serve.admitted", "query requests accepted into the admission queue"),
         ("serve.shed", "query requests refused because the queue was full"),
         ("serve.completed", "query requests answered (including degraded)"),
@@ -211,9 +207,6 @@ def _preregister() -> None:
         ("maintenance.update", "maintenance batch latency"),
         ("serialization.save", "index save latency"),
         ("serialization.load", "index load latency"),
-        ("kernels.prune", "prune kernel latency per hoplink pair"),
-        ("kernels.refine", "refine kernel latency per RF call"),
-        ("kernels.bound_refs", "bound-reference kernel latency per batch"),
     ):
         reg.timer(name, help)
     reg.histogram("engine.query_seconds", "per-query latency histogram")

@@ -136,7 +136,8 @@ class SlowQueryLog:
 
     def __init__(self) -> None:
         self.threshold_s: float | None = None
-        self.logged = 0
+        self._lock = threading.Lock()
+        self.logged = 0  # nrplint: guarded-by=_lock
         self._logger = logging.getLogger(SLOW_QUERY_LOGGER)
 
     @property
@@ -151,7 +152,8 @@ class SlowQueryLog:
 
     def reset(self) -> None:
         """Zero the logged-entry count (the threshold is left configured)."""
-        self.logged = 0
+        with self._lock:
+            self.logged = 0
 
     def log(self, rec: tuple) -> bool:
         """Emit the slow-query line for one flight record (a tuple in
@@ -180,7 +182,10 @@ class SlowQueryLog:
             f["pruned_prop5"],
             f["concatenations"],
         )
-        self.logged += 1
+        # Every server worker logs through this one hook; an unlocked
+        # ``+=`` could lose updates (see ``Counter``).
+        with self._lock:
+            self.logged += 1
         return True
 
 

@@ -16,8 +16,8 @@ live daemon).  Both failure modes the damage taxonomy distinguishes —
 structural damage (:class:`IndexCorruptError` et al.) and IO trouble
 (``OSError``) — refuse identically: keep serving the old index.
 
-Layering (NRP001): may import ``repro.core``, ``repro.resilience``, and
-``repro.obs``; never ``repro.serve.server`` (the server imports *us*).
+Layering (NRP001): may import ``repro.core`` and ``repro.resilience``;
+never ``repro.serve.server`` (the server imports *us*).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.maintenance import replay_wal
 from repro.core.serialization import load_index, save_index
-from repro.obs import get_registry
 from repro.resilience import (
     IndexFileError,
     WriteAheadLog,
@@ -122,18 +121,12 @@ def attempt_reload(index_path: "Path | str") -> ReloadResult:
                 wal.commit(lsn)
         wal.truncate()
     except (IndexFileError, OSError) as exc:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("serve.reload.failures").inc()
         return ReloadResult(
             ok=False,
             path=str(index_path),
             error=type(exc).__name__,
             detail=str(exc),
         )
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("serve.reloads").inc()
     return ReloadResult(
         ok=True, path=str(index_path), index=index, replayed=len(replayed)
     )

@@ -92,12 +92,34 @@ __all__ = ["QueryServer", "ServerStats", "serve_index"]
 _POLL_S = 0.05
 
 
+#: The ``serve.*`` registry counter that mirrors each counted field.
+#: ``invalid`` and ``errors`` share ``serve.errors``; ``batch_queries``
+#: and ``max_batch`` have no mirror.
+_MIRRORS = {
+    "admitted": "serve.admitted",
+    "completed": "serve.completed",
+    "shed": "serve.shed",
+    "degraded": "serve.degraded",
+    "invalid": "serve.errors",
+    "errors": "serve.errors",
+    "batches": "serve.batches",
+    "expired": "serve.expired",
+    "circuit_open": "serve.circuit_open",
+    "worker_restarts": "serve.worker.restarts",
+    "reloads": "serve.reloads",
+    "reload_failures": "serve.reload.failures",
+}
+
+
 class ServerStats:
-    """Always-on request accounting (independent of the obs registry).
+    """The daemon's one serve ledger, always on.
 
     Every field is guarded by one lock; the server's workers and
-    handlers update it concurrently.  ``snapshot`` is what the ``stats``
-    op and ``GET /stats`` return.
+    handlers update it concurrently through :meth:`count` (and
+    :meth:`count_batch`), which also bump the mirrored ``serve.*``
+    registry counter when the registry is enabled, so ``stats`` works
+    with the registry disabled and ``/metrics`` agrees with it when on.
+    ``snapshot`` is what the ``stats`` op and ``GET /stats`` return.
     """
 
     __slots__ = (
@@ -116,10 +138,17 @@ class ServerStats:
         "worker_restarts",
         "reloads",
         "reload_failures",
+        "_registry",
+        "_mirrors",
     )
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        registry = get_registry()
+        self._registry = registry
+        self._mirrors = {
+            field: registry.counter(name) for field, name in _MIRRORS.items()
+        }
         self.admitted = 0  # nrplint: guarded-by=_lock
         self.completed = 0  # nrplint: guarded-by=_lock
         self.shed = 0  # nrplint: guarded-by=_lock
@@ -134,6 +163,23 @@ class ServerStats:
         self.worker_restarts = 0  # nrplint: guarded-by=_lock
         self.reloads = 0  # nrplint: guarded-by=_lock
         self.reload_failures = 0  # nrplint: guarded-by=_lock
+
+    def count(self, field: str, n: int = 1) -> None:
+        """Add ``n`` to one counted field and to its ``serve.*`` mirror."""
+        with self._lock:
+            setattr(self, field, getattr(self, field) + n)
+        if self._registry.enabled:
+            self._mirrors[field].inc(n)
+
+    def count_batch(self, n: int) -> None:
+        """Count one drained micro-batch of ``n`` requests."""
+        with self._lock:
+            self.batches += 1
+            self.batch_queries += n
+            if n > self.max_batch:
+                self.max_batch = n
+        if self._registry.enabled:
+            self._mirrors["batches"].inc()
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -304,56 +350,13 @@ class QueryServer:
         self._reload_lock = threading.Lock()
         registry = get_registry()
         self._registry = registry
-        self._c_admitted = registry.counter(
-            "serve.admitted", "Query requests accepted into the admission queue"
-        )
-        self._c_shed = registry.counter(
-            "serve.shed", "Query requests refused because the queue was full"
-        )
-        self._c_completed = registry.counter(
-            "serve.completed", "Query requests answered (including degraded)"
-        )
-        self._c_degraded = registry.counter(
-            "serve.degraded", "Query requests answered by the deadline fallback"
-        )
-        self._c_errors = registry.counter(
-            "serve.errors", "Query requests answered with an error response"
-        )
-        self._c_batches = registry.counter(
-            "serve.batches", "Micro-batches drained from the admission queue"
-        )
-        self._h_wait = registry.histogram(
-            "serve.wait", "Seconds a request waited in the admission queue"
-        )
-        self._h_latency = registry.histogram(
-            "serve.latency", "Seconds from admission to response (wait + service)"
-        )
-        self._c_expired = registry.counter(
-            "serve.expired", "Query requests triaged after overstaying their TTL"
-        )
-        self._c_circuit_open = registry.counter(
-            "serve.circuit_open", "Query requests shed by the engine circuit breaker"
-        )
-        self._c_worker_restarts = registry.counter(
-            "serve.worker.restarts", "Crashed worker threads respawned by the watchdog"
-        )
-        self._c_health_transitions = registry.counter(
-            "serve.health.transitions", "Health state machine transitions"
-        )
-        self._g_health = registry.gauge(
-            "serve.health.state",
-            "Health state (index into HEALTH_STATES, 0 = healthy)",
-        )
-        self._g_circuit = registry.gauge(
-            "serve.circuit.state",
-            "Circuit breaker state (index into CIRCUIT_STATES, 0 = closed)",
-        )
-        self._g_queue_depth = registry.gauge(
-            "serve.queue.depth", "Admission queue depth at the last watchdog tick"
-        )
-        self._g_workers_alive = registry.gauge(
-            "serve.workers.alive", "Live worker threads at the last watchdog tick"
-        )
+        self._h_wait = registry.histogram("serve.wait")
+        self._h_latency = registry.histogram("serve.latency")
+        self._c_health_transitions = registry.counter("serve.health.transitions")
+        self._g_health = registry.gauge("serve.health.state")
+        self._g_circuit = registry.gauge("serve.circuit.state")
+        self._g_queue_depth = registry.gauge("serve.queue.depth")
+        self._g_workers_alive = registry.gauge("serve.workers.alive")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -505,24 +508,15 @@ class QueryServer:
         if self._stop.is_set():
             return error_response(request.id, "shutdown", "server stopping")
         if self.breaker.reject_fast():
-            with self.stats._lock:
-                self.stats.circuit_open += 1
-            if self._registry.enabled:
-                self._c_circuit_open.inc()
+            self.stats.count("circuit_open")
             return error_response(request.id, "circuit_open")
         pending = _Pending(request)
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
-            with self.stats._lock:
-                self.stats.shed += 1
-            if self._registry.enabled:
-                self._c_shed.inc()
+            self.stats.count("shed")
             return error_response(request.id, "shed")
-        with self.stats._lock:
-            self.stats.admitted += 1
-        if self._registry.enabled:
-            self._c_admitted.inc()
+        self.stats.count("admitted")
         while not pending.done.wait(_POLL_S):
             if self._stop.is_set():
                 # stop() finishes everything still queued, so give the
@@ -611,14 +605,8 @@ class QueryServer:
         failpoint("serve.worker.batch")
         picked_ns = perf_counter_ns()
         n = len(batch)
-        registry = self._registry
-        with self.stats._lock:
-            self.stats.batches += 1
-            self.stats.batch_queries += n
-            if n > self.stats.max_batch:
-                self.stats.max_batch = n
-        if registry.enabled:
-            self._c_batches.inc()
+        self.stats.count_batch(n)
+        if self._registry.enabled:
             for pending in batch:
                 self._h_wait.observe((picked_ns - pending.enqueued_ns) / 1e9)
         # TTL triage: a request that already overstayed its queue budget
@@ -731,14 +719,9 @@ class QueryServer:
     ) -> None:
         self.breaker.record_success()
         degraded = result.degraded
-        with self.stats._lock:
-            self.stats.completed += 1
-            if degraded:
-                self.stats.degraded += 1
-        if self._registry.enabled:
-            self._c_completed.inc()
-            if degraded:
-                self._c_degraded.inc()
+        self.stats.count("completed")
+        if degraded:
+            self.stats.count("degraded")
         pending.finish(
             query_response(
                 pending.request.id,
@@ -754,22 +737,12 @@ class QueryServer:
         # unreachable pairs, triage, and breaker sheds do not trip it.
         if error == "internal":
             self.breaker.record_failure()
-        with self.stats._lock:
-            if error == "invalid" or error == "unreachable":
-                self.stats.invalid += 1
-            elif error == "expired":
-                self.stats.expired += 1
-            elif error == "circuit_open":
-                self.stats.circuit_open += 1
-            else:
-                self.stats.errors += 1
-        if self._registry.enabled:
-            if error == "expired":
-                self._c_expired.inc()
-            elif error == "circuit_open":
-                self._c_circuit_open.inc()
-            else:
-                self._c_errors.inc()
+        if error == "invalid" or error == "unreachable":
+            self.stats.count("invalid")
+        elif error == "expired" or error == "circuit_open":
+            self.stats.count(error)
+        else:
+            self.stats.count("errors")
         pending.finish(error_response(pending.request.id, error, detail))
 
     # ------------------------------------------------------------------
@@ -795,10 +768,7 @@ class QueryServer:
         for thread in fresh:
             thread.start()
         if fresh:
-            with self.stats._lock:
-                self.stats.worker_restarts += len(fresh)
-            if self._registry.enabled:
-                self._c_worker_restarts.inc(len(fresh))
+            self.stats.count("worker_restarts", len(fresh))
         return len(fresh)
 
     def _watchdog(self) -> None:
@@ -873,11 +843,9 @@ class QueryServer:
             if result.ok:
                 assert result.index is not None
                 self.swap_index(result.index)
-                with self.stats._lock:
-                    self.stats.reloads += 1
+                self.stats.count("reloads")
             else:
-                with self.stats._lock:
-                    self.stats.reload_failures += 1
+                self.stats.count("reload_failures")
         finally:
             self._reload_lock.release()
         response = result.to_response_fields()

@@ -19,7 +19,9 @@ workload.  Plus targeted lost-update tests for each primitive.
 
 from __future__ import annotations
 
+import logging
 import random
+import sys
 import threading
 
 import pytest
@@ -28,6 +30,7 @@ from repro import build_index
 from repro.core.engine import BoundedCache
 from repro.obs import get_flight_recorder, get_registry
 from repro.obs.metrics import Counter, Histogram, Timer
+from repro.obs.profiling import SLOW_QUERY_LOGGER, SlowQueryLog
 from conftest import make_random_instance, random_query
 
 THREADS = 6
@@ -193,6 +196,39 @@ def test_flight_record_is_atomic():
     assert recorder.recorded == 8 * rounds
     assert recorder.dropped == 8 * rounds - 512
     assert len(recorder.records()) == 512
+
+
+def test_slow_query_log_count_is_atomic():
+    """Every server worker logs through one hook; ``logged`` must count
+    each line exactly once under a forced-fine thread switch interval."""
+    from repro.obs.flight import FLIGHT_FIELDS
+
+    slow = SlowQueryLog()
+    slow.configure(0.0)  # every record is slow
+    rec = tuple(
+        "-" if name in ("plane", "case", "backend") else 0 for name in FLIGHT_FIELDS
+    )
+    rounds = 3000
+    logger = logging.getLogger(SLOW_QUERY_LOGGER)
+    level, interval = logger.level, sys.getswitchinterval()
+
+    def spin() -> None:
+        for _ in range(rounds):
+            slow.log(rec)
+
+    logger.setLevel(logging.ERROR)  # count the lines, do not emit them
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=spin) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        logger.setLevel(level)
+    assert not any(thread.is_alive() for thread in threads)
+    assert slow.logged == 4 * rounds
 
 
 def test_bounded_cache_concurrent_churn():

@@ -28,9 +28,10 @@ from pathlib import Path
 import pytest
 
 import golden_tool
-from conftest import make_random_instance
+from conftest import make_correlated_instance, make_random_instance
 from repro import build_index, obs
 from repro.cli import main as cli_main
+from repro.core.kernels import reference
 from repro.core.query import QueryStats
 
 _CHECKER_PATH = Path(__file__).parent.parent / "tools" / "check_obs_schema.py"
@@ -251,6 +252,94 @@ class TestRegistryMirror:
         index.query(s, t, 0.9, stats=stats)
         assert stats.candidate_paths > 0
         assert stats.surviving_paths == stats.candidate_paths
+
+
+class TestKernelCallsFromRecords:
+    """No registry counter tracks kernel calls: a query's calls are a
+    function of its flight record (the table in docs/observability.md).
+    Counting wrappers on the kernel module, the way perfbench times the
+    kernels from outside, must agree with that function on both answer
+    paths, both planes and both pruning settings."""
+
+    KERNELS = ("prune_independent", "prune_correlated_keep", "scan_pairs", "best_label")
+    FIELD = {name: i for i, name in enumerate(obs.FLIGHT_FIELDS)}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = dict.fromkeys(self.KERNELS, 0)
+        for name in self.KERNELS:
+            original = getattr(reference, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                counted[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(reference, name, wrapper)
+        return counted
+
+    @classmethod
+    def expected_calls(cls, records, correlated, pruning):
+        field = cls.FIELD
+        expected = dict.fromkeys(cls.KERNELS, 0)
+        prune = "prune_correlated_keep" if correlated else "prune_independent"
+        for rec in records:
+            case, hoplinks = rec[field["case"]], rec[field["hoplinks"]]
+            if case == "ancestor":
+                expected["best_label"] += 1
+            elif case == "separator":
+                if (
+                    pruning
+                    and rec[field["plane"]] == "high"
+                    and not rec[field["plan_cache_hit"]]
+                ):
+                    expected[prune] += 2 * hoplinks
+                if not correlated:
+                    expected["scan_pairs"] += hoplinks
+        return expected
+
+    @pytest.mark.parametrize("correlated", [False, True], ids=["independent", "correlated"])
+    def test_calls_follow_from_records(self, correlated, calls):
+        if correlated:
+            graph, cov = make_correlated_instance(5, n=12, extra=10)
+            index = build_index(graph, cov, window=2, support_low_alpha=True)
+        else:
+            index = build_index(
+                make_random_instance(17, n=16, extra=12, cv=0.5),
+                support_low_alpha=True,
+            )
+        rng = random.Random(8)
+        vertices = sorted(index.graph.vertices())
+        distinct = [
+            (rng.choice(vertices), rng.choice(vertices), rng.choice((0.3, 0.8, 0.95)))
+            for _ in range(30)
+        ]
+        distinct.append((vertices[0], vertices[0], 0.9))
+        workload = distinct + distinct[:15]  # repeats hit the plan cache
+        obs.enable(metrics=True, tracing=False, flight=True)
+        seen = dict.fromkeys(("ancestor", "separator", "cached", "low"), 0)
+        for pruning in (True, False):
+            for batch in (False, True):
+                obs.flight_recorder().reset()
+                for name in calls:
+                    calls[name] = 0
+                if batch:
+                    index.query_batch(workload, use_pruning=pruning)
+                else:
+                    for s, t, alpha in workload:
+                        index.query(s, t, alpha, use_pruning=pruning)
+                records = obs.flight_recorder().records()
+                assert len(records) == len(workload)
+                assert calls == self.expected_calls(records, correlated, pruning)
+                field = self.FIELD
+                for rec in records:
+                    case = rec[field["case"]]
+                    if case in seen:
+                        seen[case] += 1
+                    if case == "separator" and rec[field["hoplinks"]]:
+                        seen["cached"] += bool(rec[field["plan_cache_hit"]])
+                        seen["low"] += rec[field["plane"]] == "low"
+        # The workload reaches every term of the formula.
+        assert all(seen.values()), seen
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 
 from repro import build_index
 from repro.cli import main
+from repro.core.serialization import save_index
 from repro.obs import get_registry
 from repro.serve.client import ServeClient, ServeError, http_get
 from repro.serve.protocol import (
@@ -555,3 +556,54 @@ class TestSelfHealingSatellites:
                 ack = client.reload()
         assert not ack["ok"] and ack["error"] == "reload_failed"
         assert "not file-backed" in ack["detail"]
+
+
+class TestServeLedger:
+    """``ServerStats`` is the daemon's one serve ledger: each ``serve.*``
+    registry counter is its mirror, never a second count."""
+
+    def test_registry_counters_reconcile_with_stats(self, serve_index, tmp_path):
+        path = tmp_path / "served.nrp.json.gz"
+        save_index(serve_index, path)
+        registry = get_registry()
+        registry.enable()
+        registry.reset()  # earlier tests may have left counts behind
+        try:
+            with QueryServer(
+                serve_index, workers=1, batch_max=4, index_path=str(path)
+            ) as qs:
+                with ServeClient(port=qs.port) as client:
+                    for i in range(4):
+                        assert client.query(0, 8 + i, 0.9)["ok"]
+                    assert client.query(0, 10_000, 0.9)["error"] == "invalid"
+                    # A 1 ns queue budget has always passed at batch pickup.
+                    expired = client.query(0, 9, 0.9, ttl_ms=1e-6)
+                    failed = client.reload(str(tmp_path / "missing.nrp.json.gz"))
+                    reloaded = client.reload()
+                stats = qs.stats.snapshot()
+            counters = {
+                name: entry["value"]
+                for name, entry in registry.to_json()["counters"].items()
+            }
+        finally:
+            registry.disable()
+            registry.reset()
+        assert expired["error"] == "expired"
+        assert not failed["ok"] and reloaded["ok"]
+        assert stats["completed"] == 4
+        assert stats["invalid"] == 1 and stats["expired"] == 1
+        for field, name in (
+            ("admitted", "serve.admitted"),
+            ("completed", "serve.completed"),
+            ("shed", "serve.shed"),
+            ("degraded", "serve.degraded"),
+            ("batches", "serve.batches"),
+            ("expired", "serve.expired"),
+            ("circuit_open", "serve.circuit_open"),
+            ("worker_restarts", "serve.worker.restarts"),
+            ("reloads", "serve.reloads"),
+            ("reload_failures", "serve.reload.failures"),
+        ):
+            assert counters[name] == stats[field], name
+        assert counters["serve.errors"] == stats["errors"] + stats["invalid"]
+        assert counters["serve.reloads"] == counters["serve.reload.failures"] == 1

@@ -14,16 +14,13 @@ The validator is a deliberately small, dependency-free subset of JSON
 Schema — exactly the keywords docs/obs_schema.json uses: ``type``,
 ``required``, ``properties``, ``additionalProperties`` (as a schema for
 map values), ``items``, ``enum``, ``const``, ``minimum``.  On top of the
-structural check, metrics documents (``repro.obs.metrics/1`` and ``/2``)
-must carry every
-kernel-layer metric listed under ``_kernel_metrics`` in the schema file —
-those names are pre-registered at import, so a dump missing one means the
-taxonomy and the code have drifted.  ``/2`` documents must additionally
-carry the serving plane's ``_serve_metrics`` taxonomy (counters, gauges,
-histograms) — legacy ``/1`` baselines pre-date it.  CI runs it on a fresh
-``repro obs dump`` and ``repro query --trace`` output on every supported
-Python version, so exported documents cannot drift from the checked-in
-schema unnoticed.
+structural check, ``repro.obs.metrics/2`` documents must carry the serving
+plane's ``_serve_metrics`` taxonomy (counters, gauges, histograms) — those
+names are pre-registered at import, so a dump missing one means the
+taxonomy and the code have drifted; legacy ``/1`` baselines pre-date it.
+CI runs it on a fresh ``repro obs dump`` and ``repro query --trace``
+output on every supported Python version, so exported documents cannot
+drift from the checked-in schema unnoticed.
 
 Every run also cross-checks the *other* schema gate: the nrplint report
 schema (``tools/nrplint/schema.json``) must pin the exact version id the
@@ -112,23 +109,6 @@ def schema_id_for(document: dict) -> str:
     return schema_id
 
 
-def kernel_metric_errors(document: dict, schemas: dict) -> list[str]:
-    """The kernel-layer names from ``_kernel_metrics`` must be present in a
-    metrics dump — pre-registration guarantees them even at value zero."""
-    errors: list[str] = []
-    documented = schemas.get("_kernel_metrics", {})
-    for section in ("counters", "timers"):
-        present = document.get(section)
-        if not isinstance(present, dict):
-            continue  # structural validation already reported this
-        for name in documented.get(section, ()):
-            if name not in present:
-                errors.append(
-                    f"$.{section}: missing pre-registered kernel metric {name!r}"
-                )
-    return errors
-
-
 def serve_metric_errors(document: dict, schemas: dict) -> list[str]:
     """The serving plane's health/lifecycle taxonomy (``_serve_metrics``)
     must be present in every current-format metrics dump.
@@ -165,8 +145,6 @@ def check_file(path: Path, schemas: dict) -> list[str]:
     if schema is None:
         return [f"{path}: unknown schema id {schema_id!r}"]
     errors = validate(document, schema)
-    if schema_id in ("repro.obs.metrics/1", "repro.obs.metrics/2"):
-        errors.extend(kernel_metric_errors(document, schemas))
     if schema_id == "repro.obs.metrics/2":
         errors.extend(serve_metric_errors(document, schemas))
     return [f"{path} [{schema_id}] {e}" for e in errors]
