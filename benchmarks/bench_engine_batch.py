@@ -111,8 +111,9 @@ def test_engine_batch_throughput():
             ]
         )
         if name == "repeated":
-            # The plan cache must pay off on hot triples.
-            assert batch < per_query * 1.10
+            # The plan cache must pay off on hot triples: memoised plans
+            # beat fresh ones outright.
+            assert batch < per_query
             assert hits > misses
         else:
             # Mostly-miss workload (random triples can still collide at

@@ -4,7 +4,7 @@ The flight recorder's contract (docs/observability.md) is two-sided:
 
 - **disarmed** — one attribute check per query, ~0% overhead; and
 - **armed**    — <3% mean per-query latency: ``QueryEngine.answer``
-  builds the 22-field flight record once and, with the other sinks off,
+  builds the 21-field flight record once and, with the other sinks off,
   hands it to the ring alone.
 
 This benchmark measures mean per-query latency under three

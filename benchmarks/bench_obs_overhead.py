@@ -9,7 +9,9 @@ the same workload under three configurations:
 - ``metrics``          — counters/timers/histogram recording
 - ``metrics+tracing``  — full span recording on top
 
-and reports the overhead of each relative to ``disabled``.  The measured
+and reports the overhead of each relative to ``disabled``.  Rounds are
+interleaved across the configurations (round-robin, best of N each), so
+machine drift during the run lands on every configuration alike.  The measured
 numbers are quoted in ``docs/observability.md``; the hard <2% bound on the
 disabled path is enforced statistically by ``tests/test_obs_integration.py``
 (wall-clock ratios here are too noisy for a tight CI assertion).  What *is*
@@ -41,17 +43,12 @@ def _workload(graph, seed: int = 7):
     return out
 
 
-def _run(index, workload) -> tuple[float, list[float]]:
-    """Best-of-N mean per-query seconds plus the answer values."""
-    best = float("inf")
-    values: list[float] = []
-    for _ in range(_ROUNDS):
-        start = time.perf_counter()
-        results = [index.query(s, t, alpha) for s, t, alpha in workload]
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / len(workload))
-        values = [r.value for r in results]
-    return best, values
+def _pass(index, workload) -> tuple[float, list[float]]:
+    """One timed pass: mean per-query seconds plus the answer values."""
+    start = time.perf_counter()
+    results = [index.query(s, t, alpha) for s, t, alpha in workload]
+    elapsed = time.perf_counter() - start
+    return elapsed / len(workload), [r.value for r in results]
 
 
 def test_obs_overhead():
@@ -67,15 +64,17 @@ def test_obs_overhead():
         ("metrics", {"metrics": True, "tracing": False}),
         ("metrics+tracing", {"metrics": True, "tracing": True}),
     )
-    timings: dict[str, float] = {}
+    timings = {name: float("inf") for name, _ in configs}
     answers: dict[str, list[float]] = {}
     try:
-        for name, flags in configs:
-            obs.disable()
-            obs.reset()
-            if any(flags.values()):
-                obs.enable(**flags)
-            timings[name], answers[name] = _run(index, workload)
+        for _ in range(_ROUNDS):
+            for name, flags in configs:
+                obs.disable()
+                obs.reset()
+                if any(flags.values()):
+                    obs.enable(**flags)
+                per_query, answers[name] = _pass(index, workload)
+                timings[name] = min(timings[name], per_query)
     finally:
         obs.disable()
         obs.reset()
@@ -94,6 +93,9 @@ def test_obs_overhead():
     report = format_table(
         ["configuration", "per-query", "vs disabled"],
         rows,
-        title=f"Observability overhead (NY, scale={SCALE}, best of {_ROUNDS})",
+        title=(
+            f"Observability overhead (NY, scale={SCALE}, "
+            f"best of {_ROUNDS} interleaved)"
+        ),
     )
     save_report("obs_overhead", report)

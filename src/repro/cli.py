@@ -20,7 +20,7 @@ Commands
   workload file, ``workload show`` summarises one.
 - ``replay`` — re-execute a captured workload, verify every result digest
   bit-identically (exit 1 on any mismatch), and print the latency /
-  per-phase / per-backend comparison report.
+  per-phase / counter comparison report.
 - ``serve`` — long-lived query daemon: load the index once, answer
   concurrent queries over the NDJSON protocol with admission control,
   per-request deadlines, and micro-batching (docs/serving.md).
@@ -231,12 +231,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     profiler = obs.SamplingProfiler() if args.profile else None
 
     def run_workload():
-        if deadline_s is None:
-            return index.query_batch(queries, stats=stats)
-        return [
-            index.query(s, t, alpha, stats=stats, deadline_s=deadline_s)
-            for s, t, alpha in queries
-        ]
+        return index.query_batch(queries, stats=stats, deadline_s=deadline_s)
 
     start = time.perf_counter()
     if profiler is not None:
@@ -338,7 +333,6 @@ def cmd_workload_capture(args: argparse.Namespace) -> int:
                 ["queries captured", meta["queries"]],
                 ["alphas", ", ".join(f"{a:g}" for a in sorted(set(alphas)))],
                 ["pruning", not args.no_pruning],
-                ["backends", ", ".join(meta["backends"])],
                 ["written to", str(args.output)],
             ],
             title="Workload captured",
@@ -363,7 +357,6 @@ def cmd_workload_show(args: argparse.Namespace) -> int:
         cases[rec[idx["case"]]] = cases.get(rec[idx["case"]], 0) + 1
     rows = [
         ["queries", len(records)],
-        ["backends", ", ".join(workload["meta"].get("backends", []))],
         ["case mix", ", ".join(f"{k}={v}" for k, v in sorted(cases.items()))],
         ["degraded", sum(1 for rec in records if rec[idx["degraded"]])],
         ["p50 latency", f"{percentile(totals, 0.50) / 1e6:.3f} ms"],

@@ -244,7 +244,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _validate(self, s: int, t: int, alpha: float) -> None:
+    def validate(self, s: int, t: int, alpha: float) -> None:
+        """Raise :class:`QueryValidationError` unless the index can answer
+        ``(s, t, alpha)``: both vertices indexed, ``alpha`` in (0, 1)
+        within the refine bound ``z_max``, and a plane built for it.
+
+        :meth:`plan` calls this first; the serving plane calls it before
+        a micro-batch reaches :meth:`answer_batch`, so only an internal
+        fault can fail the batch.
+        """
         index = self.index
         for name, v in (("source", s), ("target", t)):
             if not index.graph.has_vertex(v):
@@ -261,6 +269,8 @@ class QueryEngine:
                     f"refine bound z_max={index.z_max} (labels would be "
                     f"incomplete); build with a larger z_max or z_max=None"
                 )
+        if s != t:
+            index.plane_for(alpha)
 
     def plan(
         self,
@@ -281,7 +291,7 @@ class QueryEngine:
         bypass the cache.  Raises :class:`QueryValidationError` for an
         unknown vertex or an alpha the index cannot answer.
         """
-        self._validate(s, t, alpha)
+        self.validate(s, t, alpha)
         z = self.z_of(alpha)
         if s == t:
             return QueryPlan(s, t, alpha, z, "trivial")
@@ -607,7 +617,6 @@ class QueryEngine:
             plan.plane.direction if plan.plane is not None else "-",
             case,
             self.index.td.depth[plan.lca] if plan.lca is not None else -1,
-            reference.NAME,
             plan_hit, sep_hit and plan.case == "separator",
             plan_ns, execute_ns, total_ns,
             hoplinks, lookups, candidates, survivors, concatenations,

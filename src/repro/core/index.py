@@ -32,6 +32,7 @@ from repro.core.query import QueryResult, QueryStats
 from repro.core.refine import PRACTICAL_Z_MAX, NeighborhoodCache, Refiner
 from repro.network.covariance import CovarianceStore
 from repro.obs import get_registry, get_tracer
+from repro.resilience.errors import QueryValidationError
 from repro.network.graph import StochasticGraph
 from repro.treedec.decomposition import TreeDecomposition, build_tree_decomposition
 
@@ -265,7 +266,7 @@ class NRPIndex:
         if alpha >= 0.5:
             return self.high
         if self.low is None:
-            raise ValueError(
+            raise QueryValidationError(
                 "alpha < 0.5 requires an index built with support_low_alpha=True "
                 "(the paper's omitted-by-symmetry P^{<0.5} case)"
             )

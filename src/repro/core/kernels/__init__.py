@@ -6,16 +6,18 @@ Proposition-5 pruning bounds, the refine sweep ``RF``, and the hoplink
 concatenation scan.  This package isolates those loops as *kernels*:
 pure functions over the ``mu``/``sigma``/``sigma^2``/``ub``/``lb``
 columns of :mod:`repro.core.labelstore`, all in
-:mod:`repro.core.kernels.reference` (reported as backend ``python`` in
-wire replies and flight records).
+:mod:`repro.core.kernels.reference`.
 
 Callers reach every kernel as an attribute of that module at call time
 (``reference.scan_pairs(...)``), never through a name bound at import,
 so a profiler that wraps the module's functions sees every call.
 
 :func:`active_backend`, :func:`backend_names` and :func:`set_backend`
-remain as a minimal surface for tools that still ask which kernels
-answer: there is exactly one set, and nothing reads ``NRP_KERNELS``.
+remain only because the repository benchmark (``perfbench/``) imports
+them, as it reads the ``backend`` field (always ``reference.NAME``,
+``"python"``) of ``repro.serve/1`` replies; both go in the change that
+edits perfbench.  There is exactly one kernel set, and nothing reads
+``NRP_KERNELS``.
 
 Layering: kernels are a numeric leaf *below* the storage layer — they
 may import ``repro.stats`` and nothing else of the tree (enforced by

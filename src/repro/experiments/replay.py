@@ -1,12 +1,12 @@
 """Deterministic workload capture and replay.
 
 A captured workload is a flight-recorder drain persisted to disk (schema
-``repro.workload/1``): every record keeps its ``(s, t, alpha)`` triple,
-the per-phase timings and Algorithm 1/2 counters observed at capture
-time, and the bit-exact result digest.  :func:`replay_workload` re-executes
-the triples against a (possibly rebuilt) index, verifies every digest bit-identically, and emits a comparison
-report: latency percentiles (p50/p95/p99), per-phase attribution deltas,
-and counter deltas grouped by kernel backend.
+``repro.workload/2``; ``/1`` files still load): every record keeps its
+``(s, t, alpha)`` triple, the per-phase timings and Algorithm 1/2
+counters observed at capture time, and the bit-exact result digest.  :func:`replay_workload` re-executes
+the triples against a (possibly rebuilt) index, verifies every digest
+bit-identically, and emits a comparison report: latency percentiles
+(p50/p95/p99), per-phase attribution deltas, and counter deltas.
 
 This is the regression loop the CLI exposes as ``repro workload capture``
 and ``repro replay``:
@@ -46,19 +46,22 @@ __all__ = [
 ]
 
 #: Schema identifier of persisted workload files.
-WORKLOAD_SCHEMA = "repro.workload/1"
+WORKLOAD_SCHEMA = "repro.workload/2"
+
+#: The previous workload schema: its rows carry a ``backend`` column,
+#: which :func:`load_workload` drops.
+_WORKLOAD_SCHEMA_V1 = "repro.workload/1"
 
 #: Schema identifier of replay comparison reports.
-REPLAY_SCHEMA = "repro.replay/1"
+REPLAY_SCHEMA = "repro.replay/2"
 
 _F = {name: i for i, name in enumerate(FLIGHT_FIELDS)}
 _I_DIGEST = _F["digest"]
-_I_BACKEND = _F["backend"]
 _I_TOTAL = _F["total_ns"]
 _I_PLAN = _F["plan_ns"]
 _I_EXECUTE = _F["execute_ns"]
 
-#: The per-query counters diffed per backend by the replay report.
+#: The per-query counters diffed by the replay report.
 _COUNTER_FIELDS = (
     "hoplinks",
     "label_lookups",
@@ -111,16 +114,10 @@ def _phase_means(records: Sequence[tuple]) -> dict:
     }
 
 
-def _counters_by_backend(records: Sequence[tuple]) -> dict:
-    out: dict[str, dict[str, int]] = {}
-    for rec in records:
-        backend = rec[_I_BACKEND] or "-"
-        bucket = out.setdefault(
-            backend, {name: 0 for name in ("queries",) + _COUNTER_FIELDS}
-        )
-        bucket["queries"] += 1
-        for name in _COUNTER_FIELDS:
-            bucket[name] += rec[_F[name]]
+def _counter_totals(records: Sequence[tuple]) -> dict[str, int]:
+    out = {"queries": len(records)}
+    for name in _COUNTER_FIELDS:
+        out[name] = sum(rec[_F[name]] for rec in records)
     return out
 
 
@@ -164,11 +161,10 @@ def capture_workload(
     use_pruning: bool = True,
     deadline_s: "float | None" = None,
 ) -> dict:
-    """Capture a replayable workload document (``repro.workload/1``)."""
+    """Capture a replayable workload document (``repro.workload/2``)."""
     records = run_capture(
         index, triples, use_pruning=use_pruning, deadline_s=deadline_s
     )
-    backends = sorted({rec[_I_BACKEND] for rec in records})
     return {
         "schema": WORKLOAD_SCHEMA,
         "meta": {
@@ -176,7 +172,6 @@ def capture_workload(
             "use_pruning": use_pruning,
             "vertices": index.graph.num_vertices,
             "edges": index.graph.num_edges,
-            "backends": backends,
         },
         "fields": list(FLIGHT_FIELDS),
         "records": [list(rec) for rec in records],
@@ -188,17 +183,29 @@ def save_workload(document: dict, path: "str | Path") -> None:
 
 
 def load_workload(path: "str | Path") -> dict:
+    """Read a workload file into the current (``/2``) document layout.
+
+    A ``repro.workload/1`` file loads too: its ``backend`` column and
+    ``meta.backends`` entry are dropped on read.
+    """
     document = json.loads(Path(path).read_text(encoding="utf-8"))
-    if document.get("schema") != WORKLOAD_SCHEMA:
+    if document.get("schema") not in (WORKLOAD_SCHEMA, _WORKLOAD_SCHEMA_V1):
         raise ValueError(
             f"{path}: not a workload file "
             f"(schema {document.get('schema')!r}, expected {WORKLOAD_SCHEMA!r})"
         )
-    if document.get("fields") != list(FLIGHT_FIELDS):
-        raise ValueError(
-            f"{path}: workload field layout does not match this build's "
-            f"flight-record layout"
+    try:
+        records = records_from_rows(
+            document.get("records", []), document.get("fields", ())
         )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    document.get("meta", {}).pop("backends", None)
+    document.update(
+        schema=WORKLOAD_SCHEMA,
+        fields=list(FLIGHT_FIELDS),
+        records=[list(rec) for rec in records],
+    )
     return document
 
 
@@ -216,8 +223,7 @@ def replay_workload(
     Every triple is re-answered in capture order and its digest compared
     bit-for-bit; ``identical`` is True only when all of them match.  The
     report also carries latency percentiles, per-phase attribution means,
-    and per-backend counter totals for both runs, with replay-minus-
-    baseline deltas.
+    and counter totals for both runs, with replay-minus-baseline deltas.
     """
     baseline = records_from_rows(workload["records"])
     if not baseline:
@@ -238,8 +244,6 @@ def replay_workload(
                     "alpha": base[2],
                     "expected_digest": base[_I_DIGEST],
                     "actual_digest": rerun[_I_DIGEST],
-                    "baseline_backend": base[_I_BACKEND],
-                    "replay_backend": rerun[_I_BACKEND],
                 }
             )
 
@@ -247,20 +251,8 @@ def replay_workload(
     replay_latency = _latency_summary(replayed)
     base_phases = _phase_means(baseline)
     replay_phases = _phase_means(replayed)
-    base_counters = _counters_by_backend(baseline)
-    replay_counters = _counters_by_backend(replayed)
-    counter_report: dict[str, dict] = {}
-    for backend in sorted(set(base_counters) | set(replay_counters)):
-        before = base_counters.get(backend, {})
-        after = replay_counters.get(backend, {})
-        names = sorted(set(before) | set(after))
-        counter_report[backend] = {
-            "baseline": before,
-            "replay": after,
-            "delta": {
-                name: after.get(name, 0) - before.get(name, 0) for name in names
-            },
-        }
+    base_counters = _counter_totals(baseline)
+    replay_counters = _counter_totals(replayed)
     return {
         "schema": REPLAY_SCHEMA,
         "queries": len(baseline),
@@ -282,7 +274,14 @@ def replay_workload(
                 key: replay_phases[key] - base_phases[key] for key in base_phases
             },
         },
-        "counters": counter_report,
+        "counters": {
+            "baseline": base_counters,
+            "replay": replay_counters,
+            "delta": {
+                name: replay_counters[name] - base_counters[name]
+                for name in base_counters
+            },
+        },
     }
 
 
@@ -328,21 +327,18 @@ def format_replay_report(report: dict) -> str:
             ),
         )
     ]
-    counter_rows = []
-    for backend, diff in report["counters"].items():
-        for name in ("queries",) + _COUNTER_FIELDS:
-            before = diff["baseline"].get(name, 0)
-            after = diff["replay"].get(name, 0)
-            if before or after:
-                counter_rows.append(
-                    [backend, name, before, after, after - before]
-                )
+    counters = report["counters"]
+    counter_rows = [
+        [name, before, counters["replay"][name], counters["delta"][name]]
+        for name, before in counters["baseline"].items()
+        if before or counters["replay"][name]
+    ]
     if counter_rows:
         parts.append(
             format_table(
-                ["backend", "counter", "baseline", "replay", "delta"],
+                ["counter", "baseline", "replay", "delta"],
                 counter_rows,
-                title="Counter deltas per backend",
+                title="Counter deltas",
             )
         )
     if report["digest_mismatches"]:

@@ -5,11 +5,10 @@ did the slow/wrong query do?* — and the metrics registry can only answer
 in aggregates while the slow-query log only samples outliers.  The
 flight recorder closes that gap: while armed it keeps the last
 ``capacity`` answered queries as compact structured records (the triple,
-alpha, chosen plane, LCA depth, kernel backend, plan/separator-cache
-hits, per-phase nanosecond timings, per-proposition prune counts, the
-degraded flag, and a bit-exact result digest), overwriting the oldest
-record once full, so memory stays bounded no matter how long the process
-runs.
+alpha, chosen plane, LCA depth, plan/separator-cache hits, per-phase
+nanosecond timings, per-proposition prune counts, the degraded flag, and
+a bit-exact result digest), overwriting the oldest record once full, so
+memory stays bounded no matter how long the process runs.
 
 Design rules, matching the rest of ``repro.obs``:
 
@@ -25,7 +24,7 @@ Design rules, matching the rest of ``repro.obs``:
   re-executes the triples and verifies every digest bit-identically
   (see ``repro.experiments.replay``).
 
-Exports: :meth:`FlightRecorder.to_json` (schema ``repro.obs.flight/1``),
+Exports: :meth:`FlightRecorder.to_json` (schema ``repro.obs.flight/2``),
 :meth:`FlightRecorder.write_jsonl` (one record object per line), and a
 compact fixed-width binary codec (:meth:`FlightRecorder.to_binary` /
 :func:`unpack_records`) for workloads too large for JSON.
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 #: Schema identifier stamped on JSON exports of the ring buffer.
-FLIGHT_SCHEMA = "repro.obs.flight/1"
+FLIGHT_SCHEMA = "repro.obs.flight/2"
 
 #: Field names of one flight record, in tuple order.  ``seq`` (the global
 #: query sequence number) is derived at export time, not stored per record.
@@ -61,7 +60,6 @@ FLIGHT_FIELDS = (
     "plane",            # "high" | "low" | "-"
     "case",             # "trivial" | "ancestor" | "separator" | "degraded"
     "lca_depth",        # -1 when no LCA applies
-    "backend",          # kernels that answered: "python" ("vector" in old files)
     "plan_cache_hit",
     "separator_cache_hit",
     "plan_ns",
@@ -81,21 +79,24 @@ FLIGHT_FIELDS = (
 
 _F = {name: i for i, name in enumerate(FLIGHT_FIELDS)}
 
-#: Enumerations for the compact binary rendering of the string fields
-#: (``"vector"`` stays decodable: files written before the numpy backend
-#: was removed carry it).
+#: The ``/1`` row layout: one more column after ``lca_depth``, the kernel
+#: ``backend`` that answered (``"python"`` or ``"vector"``).  Rows in it
+#: still load; :func:`records_from_rows` drops that column.
+_V1_BACKEND = _F["lca_depth"] + 1
+_V1_FIELDS = FLIGHT_FIELDS[:_V1_BACKEND] + ("backend",) + FLIGHT_FIELDS[_V1_BACKEND:]
+
+#: Enumerations for the compact binary rendering of the string fields.
 _PLANES = ("-", "high", "low")
 _CASES = ("trivial", "ancestor", "separator", "degraded")
-_BACKENDS = ("", "python", "vector")
 
 #: value, mu, variance, num_edges, degraded — the exact payload digested.
 _DIGEST_STRUCT = struct.Struct("<dddqB")
 _digest_pack = _DIGEST_STRUCT.pack
 
-#: One binary record: q s t | d alpha | BBB plane/case/backend | i lca |
+#: One binary record: q s t | d alpha | BB plane/case | i lca |
 #: BB cache hits | qqq timings | 8q counters | B degraded | I digest.
-_RECORD_STRUCT = struct.Struct("<qqdBBBiBBqqqqqqqqqqqBI")
-_BINARY_MAGIC = b"NRPFLT1\n"
+_RECORD_STRUCT = struct.Struct("<qqdBBiBBqqqqqqqqqqqBI")
+_BINARY_MAGIC = b"NRPFLT2\n"
 
 
 def result_digest(result: Any) -> int:
@@ -270,7 +271,6 @@ def pack_record(rec: tuple) -> bytes:
         rec[_F["alpha"]],
         _PLANES.index(rec[_F["plane"]]),
         _CASES.index(rec[_F["case"]]),
-        _BACKENDS.index(rec[_F["backend"]]),
         rec[_F["lca_depth"]],
         int(rec[_F["plan_cache_hit"]]),
         int(rec[_F["separator_cache_hit"]]),
@@ -302,13 +302,13 @@ def unpack_records(payload: bytes) -> list[tuple]:
         )
     out: list[tuple] = []
     for row in _RECORD_STRUCT.iter_unpack(body):
-        (s, t, alpha, plane, case, backend, lca_depth, plan_hit, sep_hit,
+        (s, t, alpha, plane, case, lca_depth, plan_hit, sep_hit,
          plan_ns, execute_ns, total_ns, hoplinks, lookups, candidates,
          survivors, concatenations, p2, p3, p5, degraded, digest) = row
         out.append(
             (
                 s, t, alpha, _PLANES[plane], _CASES[case], lca_depth,
-                _BACKENDS[backend], bool(plan_hit), bool(sep_hit),
+                bool(plan_hit), bool(sep_hit),
                 plan_ns, execute_ns, total_ns, hoplinks, lookups, candidates,
                 survivors, concatenations, p2, p3, p5, bool(degraded), digest,
             )
@@ -316,17 +316,29 @@ def unpack_records(payload: bytes) -> list[tuple]:
     return out
 
 
-def records_from_rows(rows: Iterable[Iterable[Any]]) -> list[tuple]:
-    """Row-major JSON arrays (``to_json()["records"]``) back into tuples."""
+def records_from_rows(
+    rows: Iterable[Iterable[Any]], fields: Iterable[str] = FLIGHT_FIELDS
+) -> list[tuple]:
+    """Row-major JSON arrays (``to_json()["records"]``) back into tuples.
+
+    ``fields`` names the rows' columns: :data:`FLIGHT_FIELDS`, or the
+    ``/1`` layout, whose ``backend`` column is dropped on read.
+    """
+    layout = tuple(fields)
+    legacy = layout == _V1_FIELDS
+    if not legacy and layout != FLIGHT_FIELDS:
+        raise ValueError(
+            "flight record field layout does not match this build's "
+            "flight-record layout"
+        )
     out: list[tuple] = []
     for row in rows:
         rec = tuple(row)
-        if len(rec) != len(FLIGHT_FIELDS):
+        if len(rec) != len(layout):
             raise ValueError(
-                f"flight record has {len(rec)} fields, "
-                f"expected {len(FLIGHT_FIELDS)}"
+                f"flight record has {len(rec)} fields, expected {len(layout)}"
             )
-        out.append(rec)
+        out.append(rec[:_V1_BACKEND] + rec[_V1_BACKEND + 1:] if legacy else rec)
     return out
 
 

@@ -3,7 +3,7 @@
 :class:`ServeClient` wraps one TCP connection: requests go out as NDJSON
 lines, responses come back in order (the server answers each connection
 sequentially — open one client per thread for concurrency, as
-``benchmarks/bench_serve.py`` does).  :func:`http_get` fetches the
+``repro serve-client --concurrency N`` does).  :func:`http_get` fetches the
 daemon's observability endpoints (``/metrics``, ``/healthz``,
 ``/readyz``, ``/stats``) over the same port.
 

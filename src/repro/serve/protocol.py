@@ -41,7 +41,6 @@ Responses always carry ``ok``.  A successful query reply::
     {"id": 7, "ok": false, "error": "circuit_open"}          # engine breaker
     {"id": 7, "ok": false, "error": "expired"}               # TTL triage
     {"id": 7, "ok": false, "error": "invalid", "detail": "..."}
-    {"id": 7, "ok": false, "error": "unreachable", "detail": "..."}
     {"id": 7, "ok": false, "error": "reload_failed", "detail": "..."}
     {"ok": false, "error": "protocol", "detail": "..."}      # bad line
 
@@ -217,7 +216,7 @@ def query_response(
 
 
 def error_response(req_id: Any, error: str, detail: "str | None" = None) -> dict:
-    """An ``ok: false`` response (``shed``/``invalid``/``unreachable``/...)."""
+    """An ``ok: false`` response (``shed``/``invalid``/``internal``/...)."""
     obj: dict = {"id": req_id, "ok": False, "error": error}
     if detail is not None:
         obj["detail"] = detail

@@ -19,9 +19,9 @@ and a ``ThreadingTCPServer`` speaking the NDJSON protocol of
   requests and answer each batch through ``QueryEngine.answer_batch``,
   which memoises plans across repeated ``(s, t, alpha)`` triples — the
   daemon's reason to exist, since real road-network workloads repeat
-  triples heavily.  ``batch_max=1`` degenerates to one uncached
-  ``answer`` per request (the CLI-parity baseline the serve benchmark
-  compares against).
+  triples heavily.  Each request is validated before its group reaches
+  the engine, so a bad request is answered ``invalid`` alone and the
+  engine call can fail only on an internal fault.
 - **Deadlines** reuse the engine's ``deadline_s`` degradation: a query
   whose execution blows its budget returns the exact mean-only fallback
   flagged ``degraded`` instead of failing.  The budget covers engine
@@ -83,6 +83,7 @@ from repro.serve.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import QueryEngine
     from repro.core.index import NRPIndex
 
 __all__ = ["QueryServer", "ServerStats", "serve_index"]
@@ -636,12 +637,21 @@ class QueryServer:
         if not live:
             return
         failpoint("serve.batch.stall")
-        # Group by (deadline, pruning): answer_batch takes one scalar
+        # Validate against the one index this batch is answered from: a
+        # bad request is answered ``invalid`` alone here, so its group's
+        # answer_batch call can fail only on an internal fault.  Then
+        # group by (deadline, pruning): answer_batch takes one scalar
         # deadline per call, so mixed budgets become one sub-batch each
         # (plan memoisation still spans sub-batches via the engine cache).
+        engine = self.index.engine
         groups: "dict[tuple[float | None, bool], list[_Pending]]" = {}
         for pending in live:
             request = pending.request
+            try:
+                engine.validate(request.s, request.t, request.alpha)
+            except QueryValidationError as exc:
+                self._finish_error(pending, "invalid", str(exc))
+                continue
             deadline_ms = (
                 request.deadline_ms
                 if request.deadline_ms is not None
@@ -653,10 +663,11 @@ class QueryServer:
                 [],
             ).append(pending)
         for (deadline_s, pruning), members in groups.items():
-            self._answer_group(members, deadline_s, pruning, n, picked_ns)
+            self._answer_group(engine, members, deadline_s, pruning, n, picked_ns)
 
     def _answer_group(
         self,
+        engine: "QueryEngine",
         members: "list[_Pending]",
         deadline_s: "float | None",
         pruning: bool,
@@ -669,50 +680,23 @@ class QueryServer:
             for pending in members:
                 self._finish_error(pending, "circuit_open", "engine circuit open")
             return
-        engine = self.index.engine
-        use_batch = self.batch_max > 1
-        results: "list[Any] | None" = None
-        if use_batch:
-            triples = [
-                (p.request.s, p.request.t, p.request.alpha) for p in members
-            ]
-            try:
-                failpoint("serve.engine.answer")
-                results = engine.answer_batch(
-                    triples,
-                    use_pruning=pruning,
-                    per_query_stats=True,
-                    deadline_s=deadline_s,
-                )
-            except Exception:
-                # One bad query fails answer_batch on first raise; redo
-                # the group per query so the rest still get answers and
-                # the offender gets an error response of its own.
-                results = None
-        if results is not None:
-            for pending, result in zip(members, results):
-                self._finish_ok(pending, result, batch_size, picked_ns)
-            return
-        for pending in members:
-            request = pending.request
-            try:
-                failpoint("serve.engine.answer")
-                result = engine.answer(
-                    request.s,
-                    request.t,
-                    request.alpha,
-                    pruning,
-                    use_cache=use_batch,
-                    deadline_s=deadline_s,
-                )
-            except QueryValidationError as exc:
-                self._finish_error(pending, "invalid", str(exc))
-            except ValueError as exc:
-                self._finish_error(pending, "unreachable", str(exc))
-            except Exception as exc:  # keep the worker alive no matter what
+        triples = [(p.request.s, p.request.t, p.request.alpha) for p in members]
+        try:
+            failpoint("serve.engine.answer")
+            results = engine.answer_batch(
+                triples,
+                use_pruning=pruning,
+                per_query_stats=True,
+                deadline_s=deadline_s,
+            )
+        except Exception as exc:  # keep the worker alive no matter what
+            # Every member passed validation, so this is an internal
+            # fault: answer the group once, never re-run it.
+            for pending in members:
                 self._finish_error(pending, "internal", f"{type(exc).__name__}: {exc}")
-            else:
-                self._finish_ok(pending, result, batch_size, picked_ns)
+            return
+        for pending, result in zip(members, results):
+            self._finish_ok(pending, result, batch_size, picked_ns)
 
     def _finish_ok(
         self, pending: _Pending, result: Any, batch_size: int, picked_ns: int
@@ -734,12 +718,10 @@ class QueryServer:
 
     def _finish_error(self, pending: _Pending, error: str, detail: str) -> None:
         # Only *internal* failures indict the engine; invalid input,
-        # unreachable pairs, triage, and breaker sheds do not trip it.
+        # triage, and breaker sheds do not trip it.
         if error == "internal":
             self.breaker.record_failure()
-        if error == "invalid" or error == "unreachable":
-            self.stats.count("invalid")
-        elif error == "expired" or error == "circuit_open":
+        if error in ("invalid", "expired", "circuit_open"):
             self.stats.count(error)
         else:
             self.stats.count("errors")
@@ -814,9 +796,10 @@ class QueryServer:
         """Atomically replace the resident index; returns the old one.
 
         A single attribute rebind: workers resolve ``self.index.engine``
-        at the start of each batch group, so in-flight batches finish on
-        the index they started with and every later batch sees the new
-        one — no request ever observes a half-swapped state.
+        once per micro-batch, before validating it, so in-flight batches
+        finish on the index they were validated against and every later
+        batch sees the new one — no request ever observes a half-swapped
+        state.
         """
         old = self._index
         self._index = index

@@ -160,7 +160,7 @@ class TestWorkloadAndReplay:
             )
             == 0
         )
-        assert json.loads(workload.read_text())["schema"] == "repro.workload/1"
+        assert json.loads(workload.read_text())["schema"] == "repro.workload/2"
 
         assert main(["workload", "show", str(workload)]) == 0
         out = capsys.readouterr().out
@@ -181,7 +181,7 @@ class TestWorkloadAndReplay:
         out = capsys.readouterr().out
         assert "30/30 digests bit-identical" in out
         report = json.loads(report_file.read_text())
-        assert report["schema"] == "repro.replay/1"
+        assert report["schema"] == "repro.replay/2"
         assert report["identical"] is True
 
     def test_replay_detects_divergence(self, index_file, tmp_path, capsys):

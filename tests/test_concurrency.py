@@ -206,7 +206,7 @@ def test_slow_query_log_count_is_atomic():
     slow = SlowQueryLog()
     slow.configure(0.0)  # every record is slow
     rec = tuple(
-        "-" if name in ("plane", "case", "backend") else 0 for name in FLIGHT_FIELDS
+        "-" if name in ("plane", "case") else 0 for name in FLIGHT_FIELDS
     )
     rounds = 3000
     logger = logging.getLogger(SLOW_QUERY_LOGGER)

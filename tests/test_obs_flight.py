@@ -32,7 +32,6 @@ def _rec(i: int) -> tuple:
         "high",             # plane
         "separator",        # case
         3,                  # lca_depth
-        "python",           # backend
         bool(i % 2),        # plan_cache_hit
         False,              # separator_cache_hit
         1000 + i,           # plan_ns
@@ -196,7 +195,6 @@ class TestBinaryCodec:
         fields = dict(zip(FLIGHT_FIELDS, range(len(FLIGHT_FIELDS))))
         rec[fields["plane"]] = "-"
         rec[fields["case"]] = "degraded"
-        rec[fields["backend"]] = "vector"
         rec[fields["lca_depth"]] = -1
         rec[fields["degraded"]] = True
         fr = FlightRecorder(capacity=1)

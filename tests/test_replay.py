@@ -1,9 +1,9 @@
 """Workload capture and deterministic replay (``repro.experiments.replay``).
 
 The acceptance contract: a captured workload replays with every result
-digest reproduced bit-identically — on the same kernels, from a workload
-file written when a ``vector`` kernel backend still existed, and across
-an index serialisation round-trip.
+digest reproduced bit-identically — on the same kernels, from a
+``repro.workload/1`` file written when a ``vector`` kernel backend still
+existed, and across an index serialisation round-trip.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class TestCapture:
         assert doc["meta"]["use_pruning"] is True
         assert doc["meta"]["vertices"] == graph.num_vertices
         assert doc["meta"]["edges"] == graph.num_edges
-        assert doc["meta"]["backends"] == ["python"]
+        assert "backends" not in doc["meta"]
         assert doc["fields"] == list(FLIGHT_FIELDS)
         assert len(doc["records"]) == 20
         # Triples round-trip in capture order.
@@ -144,21 +144,28 @@ class TestReplay:
         assert "50/50 digests bit-identical" in text
 
     def test_cross_backend_1000_queries_bit_identical(self, instance, tmp_path):
-        """1000 queries from a workload file that says ``vector`` (written
-        while the numpy backend existed) still load and replay digest-clean
-        on the reference kernels."""
+        """1000 queries from a ``repro.workload/1`` file whose rows carry a
+        ``backend`` column saying ``vector`` (written while the numpy
+        backend existed) still load, without that column, and replay
+        digest-clean on the reference kernels."""
         graph, index = instance
         captured = capture_workload(index, _triples(graph, 1000))
-        for record in captured["records"]:
-            record[_F["backend"]] = "vector"
-        captured["meta"]["backends"] = ["vector"]
+        at = _F["lca_depth"] + 1
+        old = {
+            "schema": "repro.workload/1",
+            "meta": dict(captured["meta"], backends=["vector"]),
+            "fields": [*FLIGHT_FIELDS[:at], "backend", *FLIGHT_FIELDS[at:]],
+            "records": [r[:at] + ["vector"] + r[at:] for r in captured["records"]],
+        }
         path = tmp_path / "old.json"
-        save_workload(captured, path)
-        report = replay_workload(index, load_workload(path))
+        save_workload(old, path)
+        loaded = load_workload(path)
+        assert loaded == captured
+        report = replay_workload(index, loaded)
         assert report["identical"] is True, report["digest_mismatches"][:3]
         assert report["digest_matches"] == 1000
-        # The per-backend counter report keys each run by its backend.
-        assert set(report["counters"]) == {"python", "vector"}
+        assert report["counters"]["baseline"]["queries"] == 1000
+        assert report["counters"]["replay"]["queries"] == 1000
 
     def test_replay_across_serialization_roundtrip(self, instance, tmp_path):
         from repro.core.serialization import load_index, save_index

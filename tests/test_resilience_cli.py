@@ -83,10 +83,12 @@ class TestExitCodes:
         assert main(_query_args(index_file)) == 5
 
     def test_invalid_alpha_exits_2(self, index_file, capsys):
-        args = _query_args(index_file)
-        args[args.index("0.9")] = "1.5"
-        assert main(args) == 2
-        assert "alpha" in capsys.readouterr().err
+        # 1.5 lies outside (0, 1); 0.3 needs the low plane this index lacks.
+        for alpha in ("1.5", "0.3"):
+            args = _query_args(index_file)
+            args[args.index("0.9")] = alpha
+            assert main(args) == 2
+            assert "alpha" in capsys.readouterr().err
 
 
 class TestDeadline:

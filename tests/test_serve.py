@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import build_index
+from repro import build_index, obs
 from repro.cli import main
 from repro.core.serialization import save_index
 from repro.obs import get_registry
@@ -29,11 +29,12 @@ from repro.serve.client import ServeClient, ServeError, http_get
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
+    Request,
     decode_request,
     encode_message,
     error_response,
 )
-from repro.serve.server import QueryServer, _Handler
+from repro.serve.server import QueryServer, _Handler, _Pending
 from conftest import make_random_instance, random_query
 
 
@@ -184,7 +185,7 @@ class TestServerE2E:
 
     def test_mixed_batch_isolates_bad_query(self, serve_index):
         """One invalid query inside a micro-batch must not poison its
-        batchmates (the answer_batch fallback path)."""
+        batchmates (it is refused before the group's engine call)."""
         with QueryServer(serve_index, workers=1, batch_max=8) as qs:
             results: dict = {}
 
@@ -203,6 +204,72 @@ class TestServerE2E:
                 thread.join()
         assert results["good1"]["ok"] and results["good2"]["ok"]
         assert results["bad"]["error"] == "invalid"
+
+    def test_bad_requests_fail_before_the_engine_call(self, serve_index):
+        """An unknown vertex and an alpha < 0.5 (the index has no low
+        plane) are both answered ``invalid`` before their group reaches
+        ``answer_batch``, so every valid batchmate is answered and recorded
+        exactly once."""
+        triples = [(0, 7, 0.9), (0, 9_999, 0.9), (3, 12, 0.85), (2, 5, 0.3),
+                   (4, 11, 0.95)]
+        batch = [
+            _Pending(Request("query", id=i, s=s, t=t, alpha=a))
+            for i, (s, t, a) in enumerate(triples)
+        ]
+        qs = QueryServer(serve_index, workers=1, batch_max=8)
+        obs.reset()
+        obs.enable(metrics=True, tracing=False, flight=True)
+        try:
+            qs._process_batch(batch)
+            queries = get_registry().counter("engine.queries").value
+            records = obs.flight_recorder().records()
+        finally:
+            obs.disable()
+            obs.reset()
+        replies = [pending.response for pending in batch]
+        assert [r.get("error") for r in replies] == [
+            None, "invalid", None, "invalid", None
+        ]
+        assert "support_low_alpha" in replies[3]["detail"]
+        stats = qs.stats.snapshot()
+        assert stats["completed"] == 3 and stats["invalid"] == 2
+        assert queries == stats["completed"]
+        assert [rec[-1] for rec in records] == [
+            replies[i]["digest"] for i in (0, 2, 4)
+        ]
+
+    def test_batch_of_one_takes_the_cached_path(self, serve_index):
+        """``batch_max=1`` means batches of one on the same cached
+        ``answer_batch`` path: a repeated triple hits the plan cache, and
+        the answers match a ``batch_max=32`` daemon's bit for bit."""
+        def serve(batch_max, batches):
+            qs = QueryServer(serve_index, workers=1, batch_max=batch_max)
+            replies = []
+            for size in batches:
+                batch = [
+                    _Pending(Request("query", s=1, t=9, alpha=0.9))
+                    for _ in range(size)
+                ]
+                qs._process_batch(batch)
+                replies += [
+                    {k: v for k, v in pending.response.items()
+                     if k not in ("wait_us", "batch")}
+                    for pending in batch
+                ]
+            return replies
+
+        serve_index.engine.invalidate_plans()
+        obs.reset()
+        obs.enable(metrics=True, tracing=False)
+        try:
+            singles = serve(1, [1, 1])
+            hits = get_registry().counter("engine.plan_cache.hit").value
+        finally:
+            obs.disable()
+            obs.reset()
+        assert hits == 1
+        assert singles[0]["ok"] and singles[0] == singles[1]
+        assert serve(32, [2]) == singles
 
     def test_stats_op_counts(self, serve_index):
         with QueryServer(serve_index, workers=1, batch_max=4) as qs:
