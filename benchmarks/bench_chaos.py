@@ -5,10 +5,11 @@ worker pool, fast watchdog) and drives it with 8 closed-loop *resilient*
 clients while a :class:`FailpointSchedule` injects three serve-plane
 faults at exact hit counts:
 
-- a worker **crash** mid-batch (``serve.worker.batch``) — the watchdog
-  must respawn the thread and the stranded requests must be retried,
-- an engine **IO error** inside a batch group (``serve.engine.answer``)
-  — the per-query fallback must contain it,
+- a worker **crash** mid-request (``serve.worker.batch``) — the watchdog
+  must respawn the thread and the stranded request must be retried,
+- an engine **IO error** on one request's engine call
+  (``serve.engine.answer``) — the worker must answer it ``internal``
+  and the client must retry,
 - a **torn response line** (``serve.response.write``) — the client must
   reconnect and retry.
 
@@ -97,7 +98,7 @@ def test_chaos_smoke():
     budgets: list[dict] = []
     try:
         with QueryServer(
-            index, workers=2, batch_max=8, watchdog_interval_s=0.05
+            index, workers=2, watchdog_interval_s=0.05
         ) as qs:
 
             def client_loop(seed: int) -> None:

@@ -533,7 +533,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_capacity=args.queue,
         workers=args.workers,
-        batch_max=args.batch_max,
         default_deadline_ms=args.deadline_ms,
         default_ttl_ms=args.ttl_ms,
         index_path=str(args.index),
@@ -563,7 +562,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"repro-serve listening {server.host}:{server.port}", flush=True)
     print(
         f"serving {args.index} (workers={server.workers}, "
-        f"queue={server.queue_capacity}, batch_max={server.batch_max}, "
+        f"queue={server.queue_capacity}, "
         f"deadline_ms={args.deadline_ms}, ttl_ms={args.ttl_ms}) — repro "
         f"serve-client --port {server.port} to query, op shutdown or "
         f"SIGINT to stop, SIGHUP or op reload to hot-swap the index",
@@ -580,9 +579,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"served {snapshot['completed']} queries "
         f"({snapshot['degraded']} degraded, {snapshot['shed']} shed, "
         f"{snapshot['expired']} expired, {snapshot['circuit_open']} "
-        f"circuit-open, {snapshot['invalid']} invalid) in "
-        f"{snapshot['batches']} batches (mean {snapshot['mean_batch']:.1f}"
-        f"/batch); {snapshot['worker_restarts']} worker restart(s), "
+        f"circuit-open, {snapshot['invalid']} invalid); "
+        f"{snapshot['worker_restarts']} worker restart(s), "
         f"{snapshot['reloads']} reload(s)",
         file=sys.stderr,
     )
@@ -921,12 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission queue capacity; a full queue sheds new requests",
     )
     p_serve.add_argument("--workers", type=int, default=2, help="worker threads")
-    p_serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=32,
-        help="micro-batch size cap (1 disables batching and plan memoisation)",
-    )
     p_serve.add_argument(
         "--deadline-ms",
         type=float,

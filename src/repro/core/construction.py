@@ -192,19 +192,15 @@ def build_labels(
     with get_tracer().span(
         "construction.labels", direction=refiner.direction
     ) as span:
-        # Bound-reference (Definitions 10/11) computation is deferred and
-        # flushed as one kernel batch; nothing prunes against these labels
-        # until the build returns.
-        with label_store.deferred_bound_refs():
-            for v in td.top_down():
-                bag_neighbors = td.bags[v][1:]
-                entry: dict[int, LabelPathSet] = {}
-                for u in td.ancestors(v):
-                    paths = build_label_paths(
-                        v, u, bag_neighbors, store, labels, td, refiner, cov, window
-                    )
-                    entry[u] = label_store.add_entry((v, u), paths)
-                labels[v] = entry
+        for v in td.top_down():
+            bag_neighbors = td.bags[v][1:]
+            entry: dict[int, LabelPathSet] = {}
+            for u in td.ancestors(v):
+                paths = build_label_paths(
+                    v, u, bag_neighbors, store, labels, td, refiner, cov, window
+                )
+                entry[u] = label_store.add_entry((v, u), paths)
+            labels[v] = entry
         span.set(entries=len(label_store), paths=label_store.num_paths())
     failpoint("construction.labels.built")
     registry = get_registry()

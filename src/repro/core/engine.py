@@ -676,9 +676,7 @@ class QueryEngine:
 
         ``deadline_s`` is a **per-query** budget, not a whole-batch one:
         every query in the batch gets its own ``deadline_s`` seconds and
-        degrades individually to the mean-only fallback on expiry, so
-        server micro-batching keeps the resilience layer's degradation
-        guard.
+        degrades individually to the mean-only fallback on expiry.
         """
         from repro.core.query import QueryStats
 

@@ -135,7 +135,7 @@ class IndexPlane:
         self, v: int, u: int, paths: "Sequence[PathSummary]"
     ) -> LabelPathSet:
         """Install ``P_{uv}`` through the store and refresh the view."""
-        view = self.label_store.replace_entry((v, u), paths)
+        view = self.label_store.add_entry((v, u), paths)
         self.labels.setdefault(v, {})[u] = view
         return view
 

@@ -29,12 +29,10 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from contextlib import contextmanager
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.kernels import reference
-from repro.core.kernels.reference import compute_bound_refs
 from repro.obs import get_registry, get_tracer
 from repro.resilience.failpoints import failpoint
 
@@ -42,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pathsummary import PathSummary
     from repro.core.pruning import LabelPathSet
 
-__all__ = ["ColumnarPathStore", "LabelStore", "Slice", "compute_bound_refs"]
+__all__ = ["ColumnarPathStore", "LabelStore", "Slice"]
 
 #: Offset-table cost per entry: (start, count) as two machine words.
 _OFFSET_ENTRY_BYTES = 16
@@ -68,10 +66,6 @@ class Slice:
         self.count = count
         self.win_start = win_start
         self.win_ints = win_ints
-
-
-# compute_bound_refs (Definitions 10/11) now lives in the kernel layer;
-# re-exported here because it is part of this module's historical API.
 
 
 class ColumnarPathStore:
@@ -254,9 +248,6 @@ class LabelStore(ColumnarPathStore):
         self.ub = array("l")
         self.lb = array("l")
         self._views: "weakref.WeakSet[LabelPathSet]" = weakref.WeakSet()
-        self._deferred: (
-            list[tuple[Slice, tuple[Sequence[int], Sequence[int]] | None]] | None
-        ) = None
 
     # ------------------------------------------------------------------
     # Entry API
@@ -271,17 +262,14 @@ class LabelStore(ColumnarPathStore):
 
         ``precomputed`` optionally supplies the ``(ub, lb)`` bound reference
         columns (the v2 index format persists them so loading skips the
-        O(k^2) recomputation).  Inside a :meth:`deferred_bound_refs` window
-        the computation is queued instead of done inline.
+        O(k^2) recomputation).
         """
         from repro.core.pruning import LabelPathSet
 
         paths = tuple(paths)
         info = self.set_entry(key, paths)
         if self.independent:
-            if self._deferred is not None:
-                self._deferred.append((info, precomputed))
-            elif precomputed is not None:
+            if precomputed is not None:
                 self.ub.extend(precomputed[0])
                 self.lb.extend(precomputed[1])
             else:
@@ -289,8 +277,6 @@ class LabelStore(ColumnarPathStore):
         view = LabelPathSet.from_store(self, info, paths)
         self._views.add(view)
         return view
-
-    replace_entry = add_entry
 
     def _extend_bound_refs(self, info: Slice) -> None:
         """Append ``info``'s Definition-10/11 columns via the kernel layer.
@@ -304,47 +290,6 @@ class LabelStore(ColumnarPathStore):
         )
         self.ub.extend(ub)
         self.lb.extend(lb)
-
-    @contextmanager
-    def deferred_bound_refs(self) -> Iterator[None]:
-        """Batch Definition-10/11 computation across a build/rebuild loop.
-
-        While the context is active, :meth:`add_entry` queues entries
-        instead of computing their ``ub``/``lb`` columns inline; on exit
-        the whole batch flushes in one pass.  Views
-        created inside the window must not serve pruning until the context
-        exits (their bound columns are not appended yet), and
-        :meth:`compact` refuses to run — both match how construction and
-        maintenance drive builds.  No-op on non-independent stores and
-        when already deferring.
-        """
-        if not self.independent or self._deferred is not None:
-            yield
-            return
-        pending: list[tuple[Slice, tuple[Sequence[int], Sequence[int]] | None]] = []
-        self._deferred = pending
-        try:
-            yield
-        finally:
-            # Flush even on error so the columns stay aligned with the
-            # entries that did land.
-            self._deferred = None
-            self._flush_bound_refs(pending)
-
-    def _flush_bound_refs(
-        self,
-        pending: list[tuple[Slice, tuple[Sequence[int], Sequence[int]] | None]],
-    ) -> None:
-        if not pending:
-            return
-        for info, precomputed in pending:
-            if len(self.ub) != info.start:
-                raise RuntimeError("bound-ref columns out of sync with deferred entries")
-            if precomputed is not None:
-                self.ub.extend(precomputed[0])
-                self.lb.extend(precomputed[1])
-            else:
-                self._extend_bound_refs(info)
 
     def bound_refs(self, info: Slice) -> tuple[array, array]:
         """The ``(ub, lb)`` column slices of one entry (independent only)."""
@@ -364,8 +309,6 @@ class LabelStore(ColumnarPathStore):
     # Compaction
     # ------------------------------------------------------------------
     def compact(self) -> None:
-        if self._deferred is not None:
-            raise RuntimeError("cannot compact while bound-ref computation is deferred")
         self._old_stats = (self.ub, self.lb)
         self.ub = array("l")
         self.lb = array("l")

@@ -237,34 +237,29 @@ class IndexMaintainer:
         td = index.td
         cov = index.cov if index.correlated else None
         rebuilding: set[int] = set()
-        # Bound-reference recomputation for every rebuilt entry is batched
-        # through the kernel layer; the flush happens before compaction
-        # (``_maybe_compact`` runs after this method returns) and before
-        # any query can prune against the fresh labels.
-        with plane.label_store.deferred_bound_refs():
-            for v in td.top_down():
-                parent = td.parent[v]
-                if v not in roots and parent not in rebuilding:
-                    continue
-                rebuilding.add(v)
-                bag_neighbors = td.bags[v][1:]
-                for u in td.ancestors(v):
-                    plane.set_label_entry(
+        for v in td.top_down():
+            parent = td.parent[v]
+            if v not in roots and parent not in rebuilding:
+                continue
+            rebuilding.add(v)
+            bag_neighbors = td.bags[v][1:]
+            for u in td.ancestors(v):
+                plane.set_label_entry(
+                    v,
+                    u,
+                    build_label_paths(
                         v,
                         u,
-                        build_label_paths(
-                            v,
-                            u,
-                            bag_neighbors,
-                            plane.edge_store,
-                            plane.labels,
-                            td,
-                            plane.refiner,
-                            cov,
-                            index.window,
-                        ),
-                    )
-                report.labels_rebuilt += 1
+                        bag_neighbors,
+                        plane.edge_store,
+                        plane.labels,
+                        td,
+                        plane.refiner,
+                        cov,
+                        index.window,
+                    ),
+                )
+            report.labels_rebuilt += 1
 
 
 # ----------------------------------------------------------------------

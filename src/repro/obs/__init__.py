@@ -179,7 +179,6 @@ def _preregister() -> None:
         ("serve.completed", "query requests answered (including degraded)"),
         ("serve.degraded", "query requests answered by the deadline fallback"),
         ("serve.errors", "query requests answered with an error response"),
-        ("serve.batches", "micro-batches drained from the admission queue"),
         ("serve.expired", "query requests triaged after overstaying their TTL"),
         ("serve.circuit_open", "query requests shed by the engine circuit breaker"),
         ("serve.worker.restarts", "crashed worker threads respawned by the watchdog"),

@@ -24,10 +24,8 @@ Design rules, matching the rest of ``repro.obs``:
   re-executes the triples and verifies every digest bit-identically
   (see ``repro.experiments.replay``).
 
-Exports: :meth:`FlightRecorder.to_json` (schema ``repro.obs.flight/2``),
-:meth:`FlightRecorder.write_jsonl` (one record object per line), and a
-compact fixed-width binary codec (:meth:`FlightRecorder.to_binary` /
-:func:`unpack_records`) for workloads too large for JSON.
+Exports: :meth:`FlightRecorder.to_json` (schema ``repro.obs.flight/2``)
+and :meth:`FlightRecorder.write_jsonl` (one record object per line).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ __all__ = [
     "FlightRecorder",
     "get_flight_recorder",
     "result_digest",
-    "unpack_records",
 ]
 
 #: Schema identifier stamped on JSON exports of the ring buffer.
@@ -85,18 +82,9 @@ _F = {name: i for i, name in enumerate(FLIGHT_FIELDS)}
 _V1_BACKEND = _F["lca_depth"] + 1
 _V1_FIELDS = FLIGHT_FIELDS[:_V1_BACKEND] + ("backend",) + FLIGHT_FIELDS[_V1_BACKEND:]
 
-#: Enumerations for the compact binary rendering of the string fields.
-_PLANES = ("-", "high", "low")
-_CASES = ("trivial", "ancestor", "separator", "degraded")
-
 #: value, mu, variance, num_edges, degraded — the exact payload digested.
 _DIGEST_STRUCT = struct.Struct("<dddqB")
 _digest_pack = _DIGEST_STRUCT.pack
-
-#: One binary record: q s t | d alpha | BB plane/case | i lca |
-#: BB cache hits | qqq timings | 8q counters | B degraded | I digest.
-_RECORD_STRUCT = struct.Struct("<qqdBBiBBqqqqqqqqqqqBI")
-_BINARY_MAGIC = b"NRPFLT2\n"
 
 
 def result_digest(result: Any) -> int:
@@ -254,66 +242,6 @@ class FlightRecorder:
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
         )
         return len(lines)
-
-    def to_binary(self) -> bytes:
-        """Compact fixed-width binary export (magic + packed records)."""
-        _, _, retained = self._snapshot()
-        return _BINARY_MAGIC + b"".join(
-            pack_record(rec) for rec in retained
-        )
-
-
-def pack_record(rec: tuple) -> bytes:
-    """One record tuple -> its fixed-width binary row."""
-    return _RECORD_STRUCT.pack(
-        rec[_F["s"]],
-        rec[_F["t"]],
-        rec[_F["alpha"]],
-        _PLANES.index(rec[_F["plane"]]),
-        _CASES.index(rec[_F["case"]]),
-        rec[_F["lca_depth"]],
-        int(rec[_F["plan_cache_hit"]]),
-        int(rec[_F["separator_cache_hit"]]),
-        rec[_F["plan_ns"]],
-        rec[_F["execute_ns"]],
-        rec[_F["total_ns"]],
-        rec[_F["hoplinks"]],
-        rec[_F["label_lookups"]],
-        rec[_F["candidate_paths"]],
-        rec[_F["surviving_paths"]],
-        rec[_F["concatenations"]],
-        rec[_F["pruned_prop2"]],
-        rec[_F["pruned_prop3"]],
-        rec[_F["pruned_prop5"]],
-        int(rec[_F["degraded"]]),
-        rec[_F["digest"]],
-    )
-
-
-def unpack_records(payload: bytes) -> list[tuple]:
-    """Decode :meth:`FlightRecorder.to_binary` output back into tuples."""
-    if not payload.startswith(_BINARY_MAGIC):
-        raise ValueError("not a flight-recorder binary export (bad magic)")
-    body = payload[len(_BINARY_MAGIC):]
-    if len(body) % _RECORD_STRUCT.size:
-        raise ValueError(
-            f"torn flight-recorder export: {len(body)} payload bytes is not "
-            f"a multiple of the {_RECORD_STRUCT.size}-byte record"
-        )
-    out: list[tuple] = []
-    for row in _RECORD_STRUCT.iter_unpack(body):
-        (s, t, alpha, plane, case, lca_depth, plan_hit, sep_hit,
-         plan_ns, execute_ns, total_ns, hoplinks, lookups, candidates,
-         survivors, concatenations, p2, p3, p5, degraded, digest) = row
-        out.append(
-            (
-                s, t, alpha, _PLANES[plane], _CASES[case], lca_depth,
-                bool(plan_hit), bool(sep_hit),
-                plan_ns, execute_ns, total_ns, hoplinks, lookups, candidates,
-                survivors, concatenations, p2, p3, p5, bool(degraded), digest,
-            )
-        )
-    return out
 
 
 def records_from_rows(

@@ -61,9 +61,9 @@ CATALOGUE: dict[str, str] = {
     "construction.labels.built": "label entries built (Alg. 3, lines 6-10)",
     # Serve-plane sites (the live-daemon chaos harness arms these against
     # a running QueryServer; see docs/serving.md "Chaos testing").
-    "serve.worker.batch": "worker drained a micro-batch, before answering it",
-    "serve.engine.answer": "inside one batch group, before the engine call",
-    "serve.batch.stall": "mid-batch stall point (arm a delay: slow engine)",
+    "serve.worker.batch": "worker took a request off the queue, before answering it",
+    "serve.engine.answer": "one request validated and admitted, before the engine call",
+    "serve.batch.stall": "mid-request stall point (arm a delay: slow engine)",
     "serve.queue.poll": "worker about to poll the admission queue",
     "serve.response.write": "response encoded, before the socket write",
     "serve.reload.verify": "hot reload: candidate file about to be verified",

@@ -12,9 +12,10 @@ over a line-delimited JSON protocol (:mod:`repro.serve.protocol`), with
 - **per-request deadlines** reusing the engine's ``deadline_s``
   degradation (an over-budget query comes back as the exact mean-only
   fallback, flagged ``degraded``),
-- **automatic micro-batching** — worker threads drain the queue in
-  groups and answer them through ``QueryEngine.answer_batch``, so
-  repeated triples exploit the engine's plan memoisation, and
+- **per-request workers** — worker threads take one request at a time
+  off the queue and answer it through ``QueryEngine.answer_batch`` with
+  the plan cache on, so repeated triples exploit the engine's plan
+  memoisation and no reply waits for another query's answer, and
 - ``/metrics`` (Prometheus), ``/healthz`` (liveness), ``/readyz``
   (readiness), and ``/stats`` HTTP endpoints on the same port, fed by
   the process-wide ``repro.obs`` registry, and
@@ -52,7 +53,7 @@ from repro.serve.protocol import (
     decode_request,
     encode_message,
 )
-from repro.serve.server import QueryServer, ServerStats, serve_index
+from repro.serve.server import QueryServer, ServerStats
 
 __all__ = [
     "PROTOCOL_SCHEMA",
@@ -72,5 +73,4 @@ __all__ = [
     "encode_message",
     "http_get",
     "open_with_recovery",
-    "serve_index",
 ]

@@ -21,7 +21,7 @@ Requests (``op`` selects the operation)::
 defaults apply).  ``deadline_ms`` budgets engine *execution* (an
 over-budget query degrades to the mean-only fallback); ``ttl_ms``
 budgets the *queue wait*: a request still queued past its TTL is
-triaged at batch pickup and answered ``expired`` without ever touching
+triaged when a worker picks it up and answered ``expired`` without ever touching
 the engine.  ``health`` reports the daemon's health state machine and
 circuit breaker; ``reload`` hot-swaps the resident index from ``path``
 (default: the file the daemon was started from), rolling back on any
@@ -31,11 +31,12 @@ Responses always carry ``ok``.  A successful query reply::
 
     {"id": 7, "ok": true, "value": 12.25, "mu": 11.0, "variance": 1.56,
      "path_len": 4, "degraded": false, "digest": 193948122,
-     "backend": "python", "wait_us": 112, "batch": 8}
+     "backend": "python", "wait_us": 112, "batch": 1}
 
 ``digest`` is the engine's bit-exact result digest (the replay token),
-``wait_us`` the microseconds the request sat in the admission queue, and
-``batch`` the size of the micro-batch that answered it.  Failures::
+``wait_us`` the microseconds the request sat in the admission queue.
+``batch`` is always 1 (each request is answered on its own); the field
+stays because the repository benchmark (``perfbench/``) reads it.  Failures::
 
     {"id": 7, "ok": false, "error": "shed"}                  # queue full
     {"id": 7, "ok": false, "error": "circuit_open"}          # engine breaker
@@ -197,7 +198,6 @@ def query_response(
     *,
     backend: str,
     wait_us: int,
-    batch: int,
 ) -> dict:
     """Render one engine ``QueryResult`` as its wire response object."""
     return {
@@ -211,7 +211,7 @@ def query_response(
         "digest": result.digest(),
         "backend": backend,
         "wait_us": wait_us,
-        "batch": batch,
+        "batch": 1,
     }
 
 

@@ -15,13 +15,14 @@ and a ``ThreadingTCPServer`` speaking the NDJSON protocol of
   — bounded queue length is what keeps p99 latency bounded under
   overload (queueing theory does not care how fast the engine is once
   the queue grows without limit).
-- **Workers** drain the queue in micro-batches of up to ``batch_max``
-  requests and answer each batch through ``QueryEngine.answer_batch``,
-  which memoises plans across repeated ``(s, t, alpha)`` triples — the
+- **Workers** take one request at a time off the queue and answer it
+  on its own through ``QueryEngine.answer_batch`` with the engine's plan
+  cache on, so a repeated ``(s, t, alpha)`` triple reuses its plan — the
   daemon's reason to exist, since real road-network workloads repeat
-  triples heavily.  Each request is validated before its group reaches
-  the engine, so a bad request is answered ``invalid`` alone and the
-  engine call can fail only on an internal fault.
+  triples heavily.  No work is shared between queries, so a reply never
+  waits for another query's answer.  Each request is validated before
+  it reaches the engine, so a bad request is answered ``invalid`` and
+  the engine call can fail only on an internal fault.
 - **Deadlines** reuse the engine's ``deadline_s`` degradation: a query
   whose execution blows its budget returns the exact mean-only fallback
   flagged ``degraded`` instead of failing.  The budget covers engine
@@ -38,7 +39,7 @@ and a ``ThreadingTCPServer`` speaking the NDJSON protocol of
   gauges.  A circuit breaker around the engine sheds queries with
   ``circuit_open`` after repeated internal failures; TTL triage drops
   requests that already overstayed their queue budget (``expired``)
-  before they waste a batch slot.
+  before they waste engine time.
 - **Hot reload** (:mod:`repro.serve.lifecycle`): the ``reload`` op (or
   SIGHUP via the CLI) verifies a candidate index file off the worker
   path, replays its WAL, and atomically swaps it in — or rolls back on
@@ -83,10 +84,9 @@ from repro.serve.protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import QueryEngine
     from repro.core.index import NRPIndex
 
-__all__ = ["QueryServer", "ServerStats", "serve_index"]
+__all__ = ["QueryServer", "ServerStats"]
 
 #: How long a worker sleeps on an empty queue before re-checking the
 #: stop flag, and how long handlers wait per poll for their result.
@@ -94,8 +94,7 @@ _POLL_S = 0.05
 
 
 #: The ``serve.*`` registry counter that mirrors each counted field.
-#: ``invalid`` and ``errors`` share ``serve.errors``; ``batch_queries``
-#: and ``max_batch`` have no mirror.
+#: ``invalid`` and ``errors`` share ``serve.errors``.
 _MIRRORS = {
     "admitted": "serve.admitted",
     "completed": "serve.completed",
@@ -103,7 +102,6 @@ _MIRRORS = {
     "degraded": "serve.degraded",
     "invalid": "serve.errors",
     "errors": "serve.errors",
-    "batches": "serve.batches",
     "expired": "serve.expired",
     "circuit_open": "serve.circuit_open",
     "worker_restarts": "serve.worker.restarts",
@@ -116,11 +114,11 @@ class ServerStats:
     """The daemon's one serve ledger, always on.
 
     Every field is guarded by one lock; the server's workers and
-    handlers update it concurrently through :meth:`count` (and
-    :meth:`count_batch`), which also bump the mirrored ``serve.*``
-    registry counter when the registry is enabled, so ``stats`` works
-    with the registry disabled and ``/metrics`` agrees with it when on.
-    ``snapshot`` is what the ``stats`` op and ``GET /stats`` return.
+    handlers update it concurrently through :meth:`count`, which also
+    bumps the mirrored ``serve.*`` registry counter when the registry
+    is enabled, so ``stats`` works with the registry disabled and
+    ``/metrics`` agrees with it when on.  ``snapshot`` is the counted
+    part of what the ``stats`` op and ``GET /stats`` return.
     """
 
     __slots__ = (
@@ -131,9 +129,6 @@ class ServerStats:
         "degraded",
         "invalid",
         "errors",
-        "batches",
-        "batch_queries",
-        "max_batch",
         "expired",
         "circuit_open",
         "worker_restarts",
@@ -156,9 +151,6 @@ class ServerStats:
         self.degraded = 0  # nrplint: guarded-by=_lock
         self.invalid = 0  # nrplint: guarded-by=_lock
         self.errors = 0  # nrplint: guarded-by=_lock
-        self.batches = 0  # nrplint: guarded-by=_lock
-        self.batch_queries = 0  # nrplint: guarded-by=_lock
-        self.max_batch = 0  # nrplint: guarded-by=_lock
         self.expired = 0  # nrplint: guarded-by=_lock
         self.circuit_open = 0  # nrplint: guarded-by=_lock
         self.worker_restarts = 0  # nrplint: guarded-by=_lock
@@ -172,16 +164,6 @@ class ServerStats:
         if self._registry.enabled:
             self._mirrors[field].inc(n)
 
-    def count_batch(self, n: int) -> None:
-        """Count one drained micro-batch of ``n`` requests."""
-        with self._lock:
-            self.batches += 1
-            self.batch_queries += n
-            if n > self.max_batch:
-                self.max_batch = n
-        if self._registry.enabled:
-            self._mirrors["batches"].inc()
-
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -191,17 +173,11 @@ class ServerStats:
                 "degraded": self.degraded,
                 "invalid": self.invalid,
                 "errors": self.errors,
-                "batches": self.batches,
-                "batch_queries": self.batch_queries,
-                "max_batch": self.max_batch,
                 "expired": self.expired,
                 "circuit_open": self.circuit_open,
                 "worker_restarts": self.worker_restarts,
                 "reloads": self.reloads,
                 "reload_failures": self.reload_failures,
-                "mean_batch": (
-                    self.batch_queries / self.batches if self.batches else 0.0
-                ),
             }
 
 
@@ -312,7 +288,6 @@ class QueryServer:
         port: int = 0,
         queue_capacity: int = 256,
         workers: int = 2,
-        batch_max: int = 32,
         default_deadline_ms: "float | None" = None,
         default_ttl_ms: "float | None" = None,
         index_path: "str | None" = None,
@@ -324,8 +299,6 @@ class QueryServer:
             raise ValueError("queue_capacity must be positive")
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if batch_max <= 0:
-            raise ValueError("batch_max must be positive")
         if watchdog_interval_s <= 0:
             raise ValueError("watchdog_interval_s must be positive")
         self._index = index
@@ -333,7 +306,6 @@ class QueryServer:
         self._requested_port = port
         self.queue_capacity = queue_capacity
         self.workers = workers
-        self.batch_max = batch_max
         self.default_deadline_ms = default_deadline_ms
         self.default_ttl_ms = default_ttl_ms
         self.index_path = index_path
@@ -467,21 +439,7 @@ class QueryServer:
                 "n": self.index.graph.num_vertices,
             }
         if op == "stats":
-            snapshot = self.stats.snapshot()
-            snapshot.update(
-                {
-                    "id": request.id,
-                    "ok": True,
-                    "queue_depth": self._queue.qsize(),
-                    "queue_capacity": self.queue_capacity,
-                    "workers": self.workers,
-                    "batch_max": self.batch_max,
-                    "backend": reference.NAME,
-                    "health": self.monitor.state,
-                    "circuit": self.breaker.state,
-                }
-            )
-            return snapshot
+            return {"id": request.id, "ok": True, **self.stats_snapshot()}
         if op == "health":
             report = self.monitor.snapshot()
             report.update(
@@ -534,6 +492,23 @@ class QueryServer:
             )
         return response
 
+    def stats_snapshot(self) -> dict:
+        """The ledger plus queue, pool and health state.
+
+        One body for the ``stats`` op (which adds ``id`` and ``ok``) and
+        for ``GET /stats``.
+        """
+        snapshot = self.stats.snapshot()
+        snapshot.update(
+            queue_depth=self._queue.qsize(),
+            queue_capacity=self.queue_capacity,
+            workers=self.workers,
+            backend=reference.NAME,
+            health=self.monitor.state,
+            circuit=self.breaker.state,
+        )
+        return snapshot
+
     def handle_http(self, path: str) -> tuple[str, str, str]:
         """Answer one observability GET: ``(status, content-type, body)``."""
         path = path.split("?", 1)[0]
@@ -556,163 +531,102 @@ class QueryServer:
                 return ("200 OK", "text/plain", body)
             return ("503 Service Unavailable", "text/plain", f"{state}\n")
         if path == "/stats":
-            snapshot = self.stats.snapshot()
-            snapshot["queue_depth"] = self._queue.qsize()
-            snapshot["health"] = self.monitor.state
-            snapshot["circuit"] = self.breaker.state
-            return ("200 OK", "application/json", json.dumps(snapshot) + "\n")
+            body = json.dumps(self.stats_snapshot()) + "\n"
+            return ("200 OK", "application/json", body)
         return ("404 Not Found", "text/plain", f"unknown path {path}\n")
 
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
     def _worker(self) -> None:
-        """Drain the queue in micro-batches until stopped.
+        """Answer queued requests one at a time until stopped.
 
         A worker that dies — an injected crash, an out-of-memory kill,
-        a bug the per-query handlers could not contain — first answers
-        every member of its current batch with an ``internal`` error so
-        no handler is left waiting, then lets the exception out; the
-        watchdog notices the dead thread and respawns it.
+        a bug the per-request handling could not contain — first answers
+        the request it holds with an ``internal`` error so no handler is
+        left waiting, then lets the exception out; the watchdog notices
+        the dead thread and respawns it.
         """
         q = self._queue
         while not self._stop.is_set():
             failpoint("serve.queue.poll")
             try:
-                first = q.get(timeout=_POLL_S)
+                pending = q.get(timeout=_POLL_S)
             except queue.Empty:
                 continue
-            batch = [first]
-            while len(batch) < self.batch_max:
-                try:
-                    batch.append(q.get_nowait())
-                except queue.Empty:
-                    break
             try:
-                self._process_batch(batch)
+                self._process(pending)
             except BaseException:
                 # Answer before dying: a stranded _Pending would pin its
                 # connection handler until shutdown.  InjectedCrash (and
                 # anything else fatal) still propagates and kills us.
-                for pending in batch:
-                    if not pending.done.is_set():
-                        self._finish_error(
-                            pending, "internal", "worker crashed mid-batch"
-                        )
+                if not pending.done.is_set():
+                    self._finish_error(
+                        pending, "internal", "worker crashed mid-request"
+                    )
                 raise
 
-    def _process_batch(self, batch: "list[_Pending]") -> None:
-        """Answer one drained micro-batch and wake every waiter."""
+    def _process(self, pending: _Pending) -> None:
+        """Triage, validate and answer one request, then wake its handler."""
         failpoint("serve.worker.batch")
-        picked_ns = perf_counter_ns()
-        n = len(batch)
-        self.stats.count_batch(n)
+        waited_ns = perf_counter_ns() - pending.enqueued_ns
         if self._registry.enabled:
-            for pending in batch:
-                self._h_wait.observe((picked_ns - pending.enqueued_ns) / 1e9)
+            self._h_wait.observe(waited_ns / 1e9)
+        request = pending.request
         # TTL triage: a request that already overstayed its queue budget
-        # is answered ``expired`` right here — it never reaches the
-        # engine, so its batch slot goes to a request that can still be
-        # served in time.  (``deadline_ms`` is different: that budgets
-        # engine *execution* and degrades instead of dropping.)
-        live: "list[_Pending]" = []
-        for pending in batch:
-            ttl_ms = (
-                pending.request.ttl_ms
-                if pending.request.ttl_ms is not None
-                else self.default_ttl_ms
+        # is answered ``expired`` right here and never reaches the
+        # engine.  (``deadline_ms`` is different: that budgets engine
+        # *execution* and degrades instead of dropping.)
+        ttl_ms = request.ttl_ms if request.ttl_ms is not None else self.default_ttl_ms
+        if ttl_ms is not None and waited_ns > ttl_ms * 1e6:
+            self._finish_error(
+                pending,
+                "expired",
+                f"queued {waited_ns // 10**6}ms > ttl {ttl_ms:g}ms",
             )
-            if (
-                ttl_ms is not None
-                and (picked_ns - pending.enqueued_ns) > ttl_ms * 1e6
-            ):
-                self._finish_error(
-                    pending,
-                    "expired",
-                    f"queued {(picked_ns - pending.enqueued_ns) // 10**6}ms "
-                    f"> ttl {ttl_ms:g}ms",
-                )
-            else:
-                live.append(pending)
-        if not live:
             return
         failpoint("serve.batch.stall")
-        # Validate against the one index this batch is answered from: a
-        # bad request is answered ``invalid`` alone here, so its group's
-        # answer_batch call can fail only on an internal fault.  Then
-        # group by (deadline, pruning): answer_batch takes one scalar
-        # deadline per call, so mixed budgets become one sub-batch each
-        # (plan memoisation still spans sub-batches via the engine cache).
+        # Validate against the one index this request is answered from,
+        # so the engine call below can fail only on an internal fault.
         engine = self.index.engine
-        groups: "dict[tuple[float | None, bool], list[_Pending]]" = {}
-        for pending in live:
-            request = pending.request
-            try:
-                engine.validate(request.s, request.t, request.alpha)
-            except QueryValidationError as exc:
-                self._finish_error(pending, "invalid", str(exc))
-                continue
-            deadline_ms = (
-                request.deadline_ms
-                if request.deadline_ms is not None
-                else self.default_deadline_ms
-            )
-            pruning = request.pruning if request.pruning is not None else True
-            groups.setdefault(
-                (deadline_ms / 1000.0 if deadline_ms is not None else None, pruning),
-                [],
-            ).append(pending)
-        for (deadline_s, pruning), members in groups.items():
-            self._answer_group(engine, members, deadline_s, pruning, n, picked_ns)
-
-    def _answer_group(
-        self,
-        engine: "QueryEngine",
-        members: "list[_Pending]",
-        deadline_s: "float | None",
-        pruning: bool,
-        batch_size: int,
-        picked_ns: int,
-    ) -> None:
-        # The breaker guards the engine: while open, the whole group is
-        # shed instantly; once half-open, this group is the trial.
-        if not self.breaker.allow():
-            for pending in members:
-                self._finish_error(pending, "circuit_open", "engine circuit open")
+        try:
+            engine.validate(request.s, request.t, request.alpha)
+        except QueryValidationError as exc:
+            self._finish_error(pending, "invalid", str(exc))
             return
-        triples = [(p.request.s, p.request.t, p.request.alpha) for p in members]
+        # The breaker guards the engine: while open the request is shed
+        # at once; once half-open, this request is the trial.
+        if not self.breaker.allow():
+            self._finish_error(pending, "circuit_open", "engine circuit open")
+            return
+        deadline_ms = (
+            request.deadline_ms
+            if request.deadline_ms is not None
+            else self.default_deadline_ms
+        )
+        # A one-query ``answer_batch``: the plan-cached path, and the call
+        # the traced daemon of ``perfbench/`` spans.
         try:
             failpoint("serve.engine.answer")
-            results = engine.answer_batch(
-                triples,
-                use_pruning=pruning,
+            (result,) = engine.answer_batch(
+                [(request.s, request.t, request.alpha)],
+                use_pruning=request.pruning if request.pruning is not None else True,
                 per_query_stats=True,
-                deadline_s=deadline_s,
+                deadline_s=deadline_ms / 1000.0 if deadline_ms is not None else None,
             )
         except Exception as exc:  # keep the worker alive no matter what
-            # Every member passed validation, so this is an internal
-            # fault: answer the group once, never re-run it.
-            for pending in members:
-                self._finish_error(pending, "internal", f"{type(exc).__name__}: {exc}")
+            self._finish_error(pending, "internal", f"{type(exc).__name__}: {exc}")
             return
-        for pending, result in zip(members, results):
-            self._finish_ok(pending, result, batch_size, picked_ns)
-
-    def _finish_ok(
-        self, pending: _Pending, result: Any, batch_size: int, picked_ns: int
-    ) -> None:
         self.breaker.record_success()
-        degraded = result.degraded
         self.stats.count("completed")
-        if degraded:
+        if result.degraded:
             self.stats.count("degraded")
         pending.finish(
             query_response(
-                pending.request.id,
+                request.id,
                 result,
                 backend=reference.NAME,
-                wait_us=max(0, (picked_ns - pending.enqueued_ns) // 1000),
-                batch=batch_size,
+                wait_us=max(0, waited_ns // 1000),
             )
         )
 
@@ -796,10 +710,10 @@ class QueryServer:
         """Atomically replace the resident index; returns the old one.
 
         A single attribute rebind: workers resolve ``self.index.engine``
-        once per micro-batch, before validating it, so in-flight batches
-        finish on the index they were validated against and every later
-        batch sees the new one — no request ever observes a half-swapped
-        state.
+        once per request, before validating it, so an in-flight request
+        finishes on the index it was validated against and every later
+        request sees the new one — no request ever observes a
+        half-swapped state.
         """
         old = self._index
         self._index = index
@@ -839,30 +753,3 @@ class QueryServer:
             response.setdefault("detail", "reload failed")
         return response
 
-
-def serve_index(
-    index: "NRPIndex",
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    queue_capacity: int = 256,
-    workers: int = 2,
-    batch_max: int = 32,
-    default_deadline_ms: "float | None" = None,
-    default_ttl_ms: "float | None" = None,
-    index_path: "str | None" = None,
-) -> QueryServer:
-    """Construct and start a :class:`QueryServer` (caller stops it)."""
-    server = QueryServer(
-        index,
-        host=host,
-        port=port,
-        queue_capacity=queue_capacity,
-        workers=workers,
-        batch_max=batch_max,
-        default_deadline_ms=default_deadline_ms,
-        default_ttl_ms=default_ttl_ms,
-        index_path=index_path,
-    )
-    server.start()
-    return server

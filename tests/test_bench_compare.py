@@ -1,9 +1,8 @@
 """The perf-regression gate (``tools/bench_compare.py``) on synthetic data.
 
-Covers the two comparison modes (metrics sidecars, ``BENCH_*.json``
-trajectories), both noise knobs (relative threshold, absolute floor),
-the counters-are-drift-not-failures rule, and the CLI's exit codes
-including ``--advisory``.
+Covers the metrics-sidecar comparison, both noise knobs (relative
+threshold, absolute floor), the counters-are-drift-not-failures rule,
+and the CLI's exit codes including ``--advisory``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_compare import compare_sidecars, compare_trajectory, main  # noqa: E402
+from bench_compare import compare_sidecars, main  # noqa: E402
 
 
 def _sidecar(
@@ -123,45 +122,6 @@ class TestCompareSidecars:
         assert found == []
 
 
-def _trajectory(*timings: dict) -> dict:
-    return {"runs": [{"timings_us": t} for t in timings]}
-
-
-class TestCompareTrajectory:
-    def test_latest_vs_best_earlier(self):
-        doc = _trajectory(
-            {"prune/n=64": 120.0},
-            {"prune/n=64": 100.0},   # the best earlier run
-            {"prune/n=64": 140.0},   # latest: +40% vs best
-        )
-        found, _ = compare_trajectory(doc, threshold=0.25, min_us=50.0)
-        [line] = found
-        assert "prune/n=64" in line and "100.0 us" in line and "140.0 us" in line
-
-    def test_within_threshold_clean(self):
-        doc = _trajectory({"k": 100.0}, {"k": 110.0})
-        found, _ = compare_trajectory(doc, threshold=0.25, min_us=50.0)
-        assert found == []
-
-    def test_min_us_floor(self):
-        doc = _trajectory({"k": 10.0}, {"k": 40.0})  # +300% but < 50 us
-        found, _ = compare_trajectory(doc, threshold=0.25, min_us=50.0)
-        assert found == []
-
-    def test_single_run_is_note_only(self):
-        found, notes = compare_trajectory(
-            _trajectory({"k": 100.0}), threshold=0.25, min_us=50.0
-        )
-        assert found == []
-        assert "only 1 run(s)" in notes[0]
-
-    def test_new_key_is_note_only(self):
-        doc = _trajectory({"old": 100.0}, {"old": 100.0, "new": 500.0})
-        found, notes = compare_trajectory(doc, threshold=0.25, min_us=50.0)
-        assert found == []
-        assert any("new timing" in n for n in notes)
-
-
 class TestCli:
     def _dirs(self, tmp_path, base_doc, cur_doc):
         baseline = tmp_path / "baseline"
@@ -218,22 +178,6 @@ class TestCli:
             ["--baseline", str(tmp_path / "nope"), "--results", str(results)]
         )
         assert code == 2
-
-    def test_trajectory_flag(self, tmp_path, capsys):
-        baseline, results = self._dirs(tmp_path, _sidecar(), _sidecar())
-        traj = tmp_path / "BENCH_kernels.json"
-        traj.write_text(
-            json.dumps(_trajectory({"k": 100.0}, {"k": 200.0})), encoding="utf-8"
-        )
-        code = main(
-            [
-                "--baseline", str(baseline),
-                "--results", str(results),
-                "--trajectory", str(traj),
-            ]
-        )
-        assert code == 1
-        assert "BENCH_kernels.json" in capsys.readouterr().out
 
     def test_checked_in_baselines_compare_clean_against_themselves(self, capsys):
         """The repo's own baselines vs themselves: no regressions, exit 0."""

@@ -110,7 +110,7 @@ class TestWorkerCrash:
     ):
         queries, expected = chaos_queries
         with QueryServer(
-            chaos_index, workers=2, batch_max=4, watchdog_interval_s=0.05
+            chaos_index, workers=2, watchdog_interval_s=0.05
         ) as qs:
             schedule = FailpointSchedule().arm(
                 "serve.worker.batch", FaultAction.crash()
@@ -141,11 +141,11 @@ class TestWorkerCrash:
             assert resp["ok"] and resp["digest"] == expected[queries[0]]
 
     def test_poll_loop_crash_strands_nothing(self, chaos_index, chaos_queries):
-        """A worker dying at the queue-poll site (holding no batch) must
+        """A worker dying at the queue-poll site (holding no request) must
         not strand any request: the other worker (or the respawn) serves."""
         queries, expected = chaos_queries
         with QueryServer(
-            chaos_index, workers=2, batch_max=4, watchdog_interval_s=0.05
+            chaos_index, workers=2, watchdog_interval_s=0.05
         ) as qs:
             schedule = FailpointSchedule().arm(
                 "serve.queue.poll", FaultAction.crash()
@@ -176,7 +176,6 @@ class TestCircuitBreakerLive:
         with QueryServer(
             chaos_index,
             workers=1,
-            batch_max=1,  # one engine call per query: exact failure counting
             breaker=breaker,
             watchdog_interval_s=0.05,
         ) as qs:
@@ -248,7 +247,7 @@ class TestHotReload:
             raw = index_file.read_bytes()
             bad.write_bytes(raw[: len(raw) // 2])
         with QueryServer(
-            chaos_index, workers=2, batch_max=4, index_path=str(index_file)
+            chaos_index, workers=2, index_path=str(index_file)
         ) as qs:
             stop = threading.Event()
             failures: list = []
@@ -310,7 +309,7 @@ class TestHotReload:
         new_path = tmp_path / "new.nrp"
         save_index(new_index, new_path)
         with QueryServer(
-            chaos_index, workers=2, batch_max=4, index_path=str(index_file)
+            chaos_index, workers=2, index_path=str(index_file)
         ) as qs:
             stop = threading.Event()
             failures: list = []
@@ -407,7 +406,7 @@ class TestStallsAndTornWrites:
         self, chaos_index, chaos_queries
     ):
         queries, expected = chaos_queries
-        with QueryServer(chaos_index, workers=1, batch_max=8) as qs:
+        with QueryServer(chaos_index, workers=1) as qs:
             schedule = FailpointSchedule().arm(
                 "serve.batch.stall", FaultAction.delay(0.3)
             )
@@ -423,7 +422,7 @@ class TestStallsAndTornWrites:
         self, chaos_index, chaos_queries
     ):
         queries, expected = chaos_queries
-        with QueryServer(chaos_index, workers=1, batch_max=4) as qs:
+        with QueryServer(chaos_index, workers=1) as qs:
             schedule = FailpointSchedule().arm(
                 "serve.response.write", FaultAction.io_error()
             )
@@ -456,7 +455,7 @@ class TestSeededSchedules:
             seed, rate=0.7, action=FaultAction.io_error(), names=self.SITES
         )
         with QueryServer(
-            chaos_index, workers=2, batch_max=4, watchdog_interval_s=0.05
+            chaos_index, workers=2, watchdog_interval_s=0.05
         ) as qs:
             responses = []
             with failpoints(schedule):

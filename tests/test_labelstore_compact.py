@@ -9,14 +9,15 @@ compaction must re-resolve them:
   re-bound to whatever slice now occupies its old offsets — including the
   collision case where a later compaction moves a different live entry
   onto exactly the dead view's ``(start, count)``;
-- ``compact()`` inside a ``deferred_bound_refs`` window is refused — the
-  side columns are not aligned yet.
+- each entry's ``ub``/``lb`` side columns hold the kernel's
+  Definition-10/11 reference indices, appended as the entry lands.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.kernels import reference
 from repro.core.labelstore import LabelStore
 from repro.core.pathsummary import PathSummary
 
@@ -93,23 +94,14 @@ class TestDeadViews:
 
 
 class TestDeferredBoundRefs:
-    def test_compact_refused_while_deferring(self):
-        store = LabelStore(independent=True)
-        store.add_entry((1, 0), _paths(2, 10.0))
-        store.add_entry((1, 0), _paths(2, 30.0))
-        with store.deferred_bound_refs():
-            with pytest.raises(RuntimeError, match="deferred"):
-                store.compact()
-        store.compact()  # fine after the flush
-
     def test_deferred_columns_match_inline(self):
-        inline = LabelStore(independent=True)
-        deferred = LabelStore(independent=True)
+        """Each entry's ``ub``/``lb`` columns are appended as the entry
+        lands and equal the kernel's Definition-10/11 indices."""
+        store = LabelStore(independent=True)
         sets = [(key, _paths(3, 10.0 * key[0])) for key in ((1, 0), (2, 0), (3, 1))]
         for key, paths in sets:
-            inline.add_entry(key, paths)
-        with deferred.deferred_bound_refs():
-            for key, paths in sets:
-                deferred.add_entry(key, paths)
-        assert deferred.ub == inline.ub
-        assert deferred.lb == inline.lb
+            view = store.add_entry(key, paths)
+            ub, lb = reference.compute_bound_refs(view.mus, view.sigmas)
+            assert tuple(store.ub[view._start :]) == tuple(ub)
+            assert tuple(store.lb[view._start :]) == tuple(lb)
+        assert len(store.ub) == len(store.lb) == store.num_paths()

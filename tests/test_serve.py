@@ -25,6 +25,8 @@ from repro import build_index, obs
 from repro.cli import main
 from repro.core.serialization import save_index
 from repro.obs import get_registry
+from repro.resilience.failpoints import FailpointSchedule, FaultAction, failpoints
+from repro.serve.health import CircuitBreaker
 from repro.serve.client import ServeClient, ServeError, http_get
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -45,7 +47,7 @@ def serve_index():
 
 @pytest.fixture()
 def server(serve_index):
-    with QueryServer(serve_index, workers=2, batch_max=8) as qs:
+    with QueryServer(serve_index, workers=2) as qs:
         yield qs
 
 
@@ -184,9 +186,9 @@ class TestServerE2E:
         assert good["ok"]
 
     def test_mixed_batch_isolates_bad_query(self, serve_index):
-        """One invalid query inside a micro-batch must not poison its
-        batchmates (it is refused before the group's engine call)."""
-        with QueryServer(serve_index, workers=1, batch_max=8) as qs:
+        """One invalid query among concurrent good ones must not poison
+        them (it is refused before any engine call)."""
+        with QueryServer(serve_index, workers=1) as qs:
             results: dict = {}
 
             def one(key, s, t, alpha):
@@ -207,26 +209,26 @@ class TestServerE2E:
 
     def test_bad_requests_fail_before_the_engine_call(self, serve_index):
         """An unknown vertex and an alpha < 0.5 (the index has no low
-        plane) are both answered ``invalid`` before their group reaches
-        ``answer_batch``, so every valid batchmate is answered and recorded
-        exactly once."""
+        plane) are both answered ``invalid`` before ``answer_batch``, so
+        every valid request is answered and recorded exactly once."""
         triples = [(0, 7, 0.9), (0, 9_999, 0.9), (3, 12, 0.85), (2, 5, 0.3),
                    (4, 11, 0.95)]
-        batch = [
+        requests = [
             _Pending(Request("query", id=i, s=s, t=t, alpha=a))
             for i, (s, t, a) in enumerate(triples)
         ]
-        qs = QueryServer(serve_index, workers=1, batch_max=8)
+        qs = QueryServer(serve_index, workers=1)
         obs.reset()
         obs.enable(metrics=True, tracing=False, flight=True)
         try:
-            qs._process_batch(batch)
+            for pending in requests:
+                qs._process(pending)
             queries = get_registry().counter("engine.queries").value
             records = obs.flight_recorder().records()
         finally:
             obs.disable()
             obs.reset()
-        replies = [pending.response for pending in batch]
+        replies = [pending.response for pending in requests]
         assert [r.get("error") for r in replies] == [
             None, "invalid", None, "invalid", None
         ]
@@ -239,40 +241,33 @@ class TestServerE2E:
         ]
 
     def test_batch_of_one_takes_the_cached_path(self, serve_index):
-        """``batch_max=1`` means batches of one on the same cached
-        ``answer_batch`` path: a repeated triple hits the plan cache, and
-        the answers match a ``batch_max=32`` daemon's bit for bit."""
-        def serve(batch_max, batches):
-            qs = QueryServer(serve_index, workers=1, batch_max=batch_max)
-            replies = []
-            for size in batches:
-                batch = [
-                    _Pending(Request("query", s=1, t=9, alpha=0.9))
-                    for _ in range(size)
-                ]
-                qs._process_batch(batch)
-                replies += [
-                    {k: v for k, v in pending.response.items()
-                     if k not in ("wait_us", "batch")}
-                    for pending in batch
-                ]
-            return replies
-
+        """Each request is answered alone (``batch`` is 1) on the cached
+        ``answer_batch`` path: a repeated triple hits the plan cache and
+        its reply matches the first one bit for bit."""
+        qs = QueryServer(serve_index, workers=1)
+        requests = [
+            _Pending(Request("query", s=1, t=9, alpha=0.9)) for _ in range(2)
+        ]
         serve_index.engine.invalidate_plans()
         obs.reset()
         obs.enable(metrics=True, tracing=False)
         try:
-            singles = serve(1, [1, 1])
+            for pending in requests:
+                qs._process(pending)
             hits = get_registry().counter("engine.plan_cache.hit").value
         finally:
             obs.disable()
             obs.reset()
         assert hits == 1
-        assert singles[0]["ok"] and singles[0] == singles[1]
-        assert serve(32, [2]) == singles
+        assert [p.response["batch"] for p in requests] == [1, 1]
+        first, second = (
+            {k: v for k, v in p.response.items() if k != "wait_us"}
+            for p in requests
+        )
+        assert first["ok"] and first == second
 
     def test_stats_op_counts(self, serve_index):
-        with QueryServer(serve_index, workers=1, batch_max=4) as qs:
+        with QueryServer(serve_index, workers=1) as qs:
             with ServeClient(port=qs.port) as client:
                 for i in range(5):
                     assert client.query(0, 8 + i, 0.9)["ok"]
@@ -280,8 +275,24 @@ class TestServerE2E:
         assert stats["ok"]
         assert stats["admitted"] == 5 and stats["completed"] == 5
         assert stats["shed"] == 0
-        assert stats["batches"] >= 1
+        assert stats["workers"] == 1
         assert stats["queue_capacity"] == 256
+
+    def test_stats_op_and_http_stats_share_one_snapshot(self, serve_index):
+        """The ``stats`` op and ``GET /stats`` carry the same fields; the
+        op only adds its ``id`` and ``ok``."""
+        with QueryServer(serve_index, workers=1) as qs:
+            with ServeClient(port=qs.port) as client:
+                assert client.query(0, 8, 0.9)["ok"]
+                op = client.stats()
+            status, body = http_get("127.0.0.1", qs.port, "/stats")
+        assert status == 200
+        http = json.loads(body)
+        assert set(op) - set(http) == {"id", "ok"}
+        assert set(http) <= set(op)
+        for field in ("completed", "queue_capacity", "workers", "backend",
+                      "health", "circuit"):
+            assert op[field] == http[field], field
 
     def test_protocol_error_closes_connection(self, server):
         with ServeClient(port=server.port) as client:
@@ -316,7 +327,7 @@ class TestServerE2E:
         registry = get_registry()
         registry.enable()
         try:
-            with QueryServer(serve_index, workers=1, batch_max=4) as qs:
+            with QueryServer(serve_index, workers=1) as qs:
                 with ServeClient(port=qs.port) as client:
                     assert client.query(0, 13, 0.9)["ok"]
                 _, body = http_get("127.0.0.1", qs.port, "/metrics")
@@ -344,12 +355,12 @@ class TestServerE2E:
         release = threading.Event()
 
         class GatedServer(QueryServer):
-            def _process_batch(self, batch):
+            def _process(self, pending):
                 gate.set()
                 release.wait(timeout=10.0)
-                super()._process_batch(batch)
+                super()._process(pending)
 
-        with GatedServer(serve_index, workers=1, queue_capacity=1, batch_max=1) as qs:
+        with GatedServer(serve_index, workers=1, queue_capacity=1) as qs:
             first_resp: dict = {}
 
             def first():
@@ -389,7 +400,7 @@ class TestServerE2E:
         with pytest.raises(ValueError):
             QueryServer(serve_index, workers=0)
         with pytest.raises(ValueError):
-            QueryServer(serve_index, batch_max=-1)
+            QueryServer(serve_index, watchdog_interval_s=0)
 
 
 # ----------------------------------------------------------------------
@@ -472,7 +483,7 @@ class TestServeCLI:
             target=main,
             args=(
                 ["serve", "--index", str(index_file), "--port", str(port),
-                 "--workers", "2", "--batch-max", "8"],
+                 "--workers", "2"],
             ),
             daemon=True,
         )
@@ -520,7 +531,7 @@ class TestSelfHealingSatellites:
         registry.enable()
         registry.reset()  # earlier tests may have left counts behind
         try:
-            with QueryServer(serve_index, workers=1, batch_max=4) as qs:
+            with QueryServer(serve_index, workers=1) as qs:
                 with ServeClient(port=qs.port) as client:
                     resp = client.query(0, 19, 0.9, deadline_ms=0.0001)
             counters = registry.to_json()["counters"]
@@ -533,22 +544,28 @@ class TestSelfHealingSatellites:
         assert counters["serve.completed"]["value"] == 1
         assert counters["serve.expired"]["value"] == 0
 
-    def test_expired_request_triaged_without_touching_engine(self, serve_index):
+    def test_expired_request_triaged_without_touching_engine(
+        self, serve_index, monkeypatch
+    ):
         """A request that overstays its TTL in the queue is answered
-        ``expired`` at batch pickup; no engine call happens for it."""
+        ``expired`` when a worker picks it up; no engine call happens."""
         release = threading.Event()
-        groups: list = []
+        calls: list = []
+        engine_class = type(serve_index.engine)
+        answer_batch = engine_class.answer_batch
 
-        class GatedSpyServer(QueryServer):
-            def _process_batch(self, batch):
+        def spy(engine, queries, **kwargs):
+            calls.append(list(queries))
+            return answer_batch(engine, queries, **kwargs)
+
+        monkeypatch.setattr(engine_class, "answer_batch", spy)
+
+        class GatedServer(QueryServer):
+            def _process(self, pending):
                 release.wait(timeout=10.0)
-                super()._process_batch(batch)
+                super()._process(pending)
 
-            def _answer_group(self, members, *args):
-                groups.append(list(members))
-                super()._answer_group(members, *args)
-
-        with GatedSpyServer(serve_index, workers=1, batch_max=4) as qs:
+        with GatedServer(serve_index, workers=1) as qs:
             result: dict = {}
 
             def go():
@@ -564,20 +581,18 @@ class TestSelfHealingSatellites:
             snap = qs.stats.snapshot()
         assert result["error"] == "expired"
         assert "ttl 30ms" in result["detail"]
-        assert groups == []  # the engine was never consulted
+        assert calls == []  # the engine was never consulted
         assert snap["expired"] == 1 and snap["completed"] == 0
 
     def test_server_default_ttl_applies_when_request_has_none(self, serve_index):
         release = threading.Event()
 
         class GatedServer(QueryServer):
-            def _process_batch(self, batch):
+            def _process(self, pending):
                 release.wait(timeout=10.0)
-                super()._process_batch(batch)
+                super()._process(pending)
 
-        with GatedServer(
-            serve_index, workers=1, batch_max=4, default_ttl_ms=30
-        ) as qs:
+        with GatedServer(serve_index, workers=1, default_ttl_ms=30) as qs:
             result: dict = {}
 
             def go():
@@ -637,13 +652,13 @@ class TestServeLedger:
         registry.reset()  # earlier tests may have left counts behind
         try:
             with QueryServer(
-                serve_index, workers=1, batch_max=4, index_path=str(path)
+                serve_index, workers=1, index_path=str(path)
             ) as qs:
                 with ServeClient(port=qs.port) as client:
                     for i in range(4):
                         assert client.query(0, 8 + i, 0.9)["ok"]
                     assert client.query(0, 10_000, 0.9)["error"] == "invalid"
-                    # A 1 ns queue budget has always passed at batch pickup.
+                    # A 1 ns queue budget has always passed at pickup.
                     expired = client.query(0, 9, 0.9, ttl_ms=1e-6)
                     failed = client.reload(str(tmp_path / "missing.nrp.json.gz"))
                     reloaded = client.reload()
@@ -664,7 +679,6 @@ class TestServeLedger:
             ("completed", "serve.completed"),
             ("shed", "serve.shed"),
             ("degraded", "serve.degraded"),
-            ("batches", "serve.batches"),
             ("expired", "serve.expired"),
             ("circuit_open", "serve.circuit_open"),
             ("worker_restarts", "serve.worker.restarts"),
@@ -673,4 +687,74 @@ class TestServeLedger:
         ):
             assert counters[name] == stats[field], name
         assert counters["serve.errors"] == stats["errors"] + stats["invalid"]
+        assert counters["engine.queries"] == stats["completed"]
         assert counters["serve.reloads"] == counters["serve.reload.failures"] == 1
+
+
+class TestPerRequestWorkers:
+    """A worker answers each request on its own: no reply waits for
+    another query's answer, and one breaker permit admits one query."""
+
+    def test_reply_does_not_wait_behind_a_slow_query(
+        self, serve_index, monkeypatch
+    ):
+        """A and B wait in the queue of one worker; B's engine answer is
+        held on an event.  A's reply must arrive while B is held."""
+        a = _Pending(Request("query", id="a", s=0, t=7, alpha=0.9))
+        b = _Pending(Request("query", id="b", s=3, t=12, alpha=0.85))
+        release_b = threading.Event()
+        engine_class = type(serve_index.engine)
+        answer_batch = engine_class.answer_batch
+
+        def held(engine, queries, **kwargs):
+            if (3, 12, 0.85) in queries:
+                release_b.wait(timeout=10.0)
+            return answer_batch(engine, queries, **kwargs)
+
+        monkeypatch.setattr(engine_class, "answer_batch", held)
+        qs = QueryServer(serve_index, workers=1)
+        qs._queue.put_nowait(a)
+        qs._queue.put_nowait(b)
+        qs.start()
+        try:
+            a_first = a.done.wait(timeout=5.0)
+            b_held = not b.done.is_set()
+        finally:
+            release_b.set()
+            assert b.done.wait(timeout=10.0)
+            qs.stop()
+        assert a_first and b_held
+        assert a.response["ok"] and b.response["ok"]
+        assert a.response["batch"] == b.response["batch"] == 1
+
+    def test_half_open_trial_admits_one_query(self, serve_index):
+        """A breaker due for its half-open trial lets one queued request
+        through; when that trial fails, the breaker re-opens and the two
+        requests behind it are shed ``circuit_open``."""
+        now = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout_s=1.0, clock=lambda: now[0]
+        )
+        breaker.record_failure()  # open at t=0
+        now[0] = 5.0  # reset timeout elapsed: the next allow() is the trial
+        qs = QueryServer(serve_index, workers=1, breaker=breaker)
+        requests = [
+            _Pending(Request("query", id=i, s=0, t=7 + i, alpha=0.9))
+            for i in range(3)
+        ]
+        for pending in requests:
+            qs._queue.put_nowait(pending)
+        schedule = FailpointSchedule().arm(
+            "serve.engine.answer", FaultAction.io_error()
+        )
+        with failpoints(schedule):
+            qs.start()
+            try:
+                for pending in requests:
+                    assert pending.done.wait(timeout=10.0)
+            finally:
+                qs.stop()
+        errors = [pending.response.get("error") for pending in requests]
+        assert errors == ["internal", "circuit_open", "circuit_open"]
+        assert schedule.hits["serve.engine.answer"] == 1
+        assert breaker.state == "open"

@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
 """Noise-aware perf-regression gate over benchmark artefacts.
 
-Diffs the machine-readable benchmark outputs against a checked-in
-baseline and flags regressions:
-
-- ``benchmarks/results/*.metrics.json`` sidecars (observability-registry
-  snapshots written by ``benchmarks/conftest.py``): per-timer mean
-  latencies and, when present (metrics schema >= 2), per-histogram
-  p50/p95/p99.
-- cumulative ``BENCH_*.json`` trajectory files carrying
-  ``timings_us``: the latest run's
-  ``timings_us`` against the best earlier run in the same file.
+Diffs the ``benchmarks/results/*.metrics.json`` sidecars
+(observability-registry snapshots written by ``benchmarks/conftest.py``)
+against a checked-in baseline and flags regressions in per-timer mean
+latencies and, when present (metrics schema >= 2), per-histogram
+p50/p95/p99.
 
 Noise handling — both knobs must trip before anything is a regression:
 
 - a **relative threshold** (``--threshold``, default 25%): timings within
   the band are treated as machine noise, not regressions;
-- an **absolute floor** (``--min-seconds`` / ``--min-us``): timings whose
+- an **absolute floor** (``--min-seconds``): timings whose
   baseline is below the floor are too small to compare reliably and are
   skipped entirely.
 
@@ -36,7 +31,7 @@ import json
 import sys
 from pathlib import Path
 
-__all__ = ["compare_sidecars", "compare_trajectory", "main"]
+__all__ = ["compare_sidecars", "main"]
 
 
 def _fmt_s(seconds: float) -> str:
@@ -96,40 +91,6 @@ def compare_sidecars(
     return regressions, notes
 
 
-def compare_trajectory(
-    document: dict,
-    *,
-    threshold: float,
-    min_us: float,
-) -> tuple[list[str], list[str]]:
-    """Latest run vs the best earlier run of one ``BENCH_*.json`` file."""
-    runs = document.get("runs", [])
-    if len(runs) < 2:
-        return [], [f"only {len(runs)} run(s) recorded; nothing to compare"]
-    latest = runs[-1].get("timings_us", {})
-    regressions: list[str] = []
-    notes: list[str] = []
-    for key in sorted(latest):
-        earlier = [
-            run["timings_us"][key]
-            for run in runs[:-1]
-            if key in run.get("timings_us", {})
-        ]
-        if not earlier:
-            notes.append(f"{key}: new timing, no earlier run to compare")
-            continue
-        best = min(earlier)
-        cur = latest[key]
-        if best < min_us:
-            continue
-        if cur > best * (1.0 + threshold):
-            regressions.append(
-                f"{key}: best {best:.1f} us -> latest {cur:.1f} us "
-                f"(+{(cur / best - 1.0) * 100.0:.1f}% > {threshold * 100.0:.0f}%)"
-            )
-    return regressions, notes
-
-
 def _load(path: Path) -> dict | None:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -141,7 +102,7 @@ def _load(path: Path) -> dict | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_compare",
-        description="diff benchmark sidecars/trajectories against a baseline",
+        description="diff benchmark sidecars against a baseline",
     )
     parser.add_argument(
         "--baseline",
@@ -156,14 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory of freshly produced *.metrics.json sidecars",
     )
     parser.add_argument(
-        "--trajectory",
-        type=Path,
-        action="append",
-        default=[],
-        help="cumulative BENCH_*.json file(s): compare the latest run "
-        "against the best earlier run (repeatable)",
-    )
-    parser.add_argument(
         "--threshold",
         type=float,
         default=0.25,
@@ -175,13 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0.005,
         help="skip sidecar timings whose baseline mean is under this "
         "(too noisy to compare; default 0.005 s)",
-    )
-    parser.add_argument(
-        "--min-us",
-        type=float,
-        default=50.0,
-        help="skip trajectory timings whose best earlier run is under "
-        "this (default 50 us)",
     )
     parser.add_argument(
         "--advisory",
@@ -221,21 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             regressions.append(f"{base_path.name}: {line}")
         for line in notes:
             print(f"   drift {line}")
-    for traj_path in args.trajectory:
-        doc = _load(traj_path)
-        if doc is None:
-            continue
-        compared += 1
-        found, notes = compare_trajectory(
-            doc, threshold=args.threshold, min_us=args.min_us
-        )
-        status = f"{len(found)} regression(s)" if found else "ok"
-        print(f"-- {traj_path.name}: {status}")
-        for line in found:
-            print(f"   REGRESSION {line}")
-            regressions.append(f"{traj_path.name}: {line}")
-        for line in notes:
-            print(f"   note {line}")
 
     if compared == 0:
         print("bench_compare: nothing to compare", file=sys.stderr)
